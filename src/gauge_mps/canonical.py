@@ -428,27 +428,20 @@ def _pair_split(a_ent, b_ent, rng, tol):
     prods = _pair_products(a_ent, b_ent)
     if max(np.linalg.norm(m) for m in prods) < 1e-12:
         return []  # all words vanish: the component contributes nothing
-    sub = find_invariant_subspace(prods, rng, tol)
-    if sub is not None:
-        q = _orth_complement(sub)
-        # A_s = P^dag A, B_s = B P
+    for swap in (False, True):
+        first, second = (b_ent, a_ent) if swap else (a_ent, b_ent)
+        sub = find_invariant_subspace(
+            _pair_products(first, second) if swap else prods, rng, tol)
+        if sub is None:
+            continue
         out = []
-        for basis in (sub, q):
+        for basis in (sub, _orth_complement(sub)):
             if basis.shape[1] == 0:
                 continue
-            a_s = np.einsum("ak,iab->ikb", basis.conj(), a_ent)
-            b_s = np.einsum("iab,bk->iak", b_ent, basis)
-            out.extend(_pair_split(a_s, b_s, rng, tol))
-        return out
-    sub = find_invariant_subspace(_pair_products(b_ent, a_ent), rng, tol)
-    if sub is not None:
-        q = _orth_complement(sub)
-        out = []
-        for basis in (sub, q):
-            if basis.shape[1] == 0:
-                continue
-            a_s = np.einsum("iab,bk->iak", a_ent, basis)
-            b_s = np.einsum("ak,iab->ikb", basis.conj(), b_ent)
+            # first_s = P^dag first, second_s = second P
+            first_s = np.einsum("ak,iab->ikb", basis.conj(), first)
+            second_s = np.einsum("iab,bk->iak", second, basis)
+            a_s, b_s = (second_s, first_s) if swap else (first_s, second_s)
             out.extend(_pair_split(a_s, b_s, rng, tol))
         return out
     return [(a_ent, b_ent)]

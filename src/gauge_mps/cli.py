@@ -8,16 +8,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from operator import attrgetter
 
 from . import io
+from . import symmetry as sym
+from .constructors import Su2Construction
 from .errors import GaugeMpsError, ParseError, SchemaError, SizeLimit
 from .reps import builtin_catalog, make_rep
 from .su2 import su2_samples
-from .tensors import MpsTensor
 
-SETTINGS = ("matter-local", "matter-global", "gauge-local", "bab", "gauss")
+# setting -> (check in `symmetry`, the bundle part it reads, the operator
+# lists it takes before n_max and tol); checks are named rather than bound
+# so that each call goes through the module's current attribute, which the
+# perfbench tracer wraps
+_VERIFY_CHECKS = {
+    "matter-local": ("check_local_symmetry_matter", "pair.A", ("theta",)),
+    "matter-global": ("check_global_symmetry", "pair.A", ("theta",)),
+    "gauge-local": ("check_local_symmetry_gauge", "pair.B", ("r", "l")),
+    "bab": ("check_local_symmetry_matter_gauge", "pair", ("r", "theta", "l")),
+    "gauss": ("check_gauss_law", "pair", ("gauss",)),
+}
+SETTINGS = tuple(_VERIFY_CHECKS)
 SETTING_ALIASES = {"local": "matter-local", "global": "matter-global"}
 
 
@@ -99,41 +110,30 @@ def _emit(text, out):
 # commands
 
 
-def _verify_ops(cons, args):
-    """(theta_ops, r_ops, l_ops) for either bundle kind."""
-    from .constructors import GaugeConstruction, Su2Construction
-
+def _verify_ops(cons, names, args):
+    """The named operator lists: theta, r and l of either bundle kind
+    (sampled group elements for su2 bundles), or the Gauss generators of an
+    su2 bundle."""
+    if names == ("gauss",):
+        if not isinstance(cons, Su2Construction):
+            raise SchemaError("the gauss setting needs an su2 bundle")
+        return [cons.gauss]
     if isinstance(cons, Su2Construction):
         samples = su2_samples(args.samples, seed=args.seed)
         r_ops, th_ops, l_ops, _, _ = cons.sampled_ops(samples)
-        return th_ops, r_ops, l_ops
-    return cons.theta_ops, cons.r_ops, cons.l_ops
+    else:
+        th_ops, r_ops, l_ops = cons.theta_ops, cons.r_ops, cons.l_ops
+    found = {"theta": th_ops, "r": r_ops, "l": l_ops}
+    return [found[name] for name in names]
 
 
 def cmd_verify(args) -> int:
-    from .constructors import Su2Construction
-    from . import symmetry as sym
-
     cons = io.bundle_from_dict(io.load_json(args.bundle))
     setting = SETTING_ALIASES.get(args.setting, args.setting)
-    th_ops, r_ops, l_ops = _verify_ops(cons, args)
-    if setting == "matter-local":
-        report = sym.check_local_symmetry_matter(cons.pair.A, th_ops,
-                                                 args.n_max, args.tol)
-    elif setting == "matter-global":
-        report = sym.check_global_symmetry(cons.pair.A, th_ops,
-                                           args.n_max, args.tol)
-    elif setting == "gauge-local":
-        report = sym.check_local_symmetry_gauge(cons.pair.B, r_ops, l_ops,
-                                                args.n_max, args.tol)
-    elif setting == "bab":
-        report = sym.check_local_symmetry_matter_gauge(
-            cons.pair, r_ops, th_ops, l_ops, args.n_max, args.tol)
-    elif setting == "gauss":
-        if not isinstance(cons, Su2Construction):
-            raise SchemaError("the gauss setting needs an su2 bundle")
-        report = sym.check_gauss_law(cons.pair, cons.gauss, args.n_max,
-                                     args.tol)
+    check, part, op_names = _VERIFY_CHECKS[setting]
+    report = getattr(sym, check)(attrgetter(part)(cons),
+                                 *_verify_ops(cons, op_names, args),
+                                 args.n_max, args.tol)
     text = io.dumps(report.to_json_dict()) if args.json else report_render(report)
     _emit(text, args.out)
     return 0 if report.passed else 1
@@ -143,8 +143,7 @@ def cmd_construct(args) -> int:
     from .constructors import gauge_global_symmetry
 
     data = io.load_json(args.bundle)
-    group, _ = builtin_catalog(args.group)
-    catalog = builtin_catalog(args.group)[1]
+    group, catalog = builtin_catalog(args.group)
     tensors = data.get("tensors", {})
     if "A" not in tensors:
         raise SchemaError("/tensors/A: missing")

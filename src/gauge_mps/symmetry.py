@@ -8,6 +8,7 @@ carry residual magnitudes, never bare booleans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import (
     ExtractionDegenerate,
     NotDecomposable,
     NotNormal,
+    SymmetryError,
 )
 from .reps import Rep, check_projective_rep, decompose_rep, intertwiner_space
 from .su2 import EPS_ABC, element_from_generators
@@ -85,53 +87,83 @@ def _apply_site(psi, op, site):
     return np.moveaxis(out, 0, site)
 
 
+def _bab_windows(n):
+    """Axes (A_K, B_{K-1}, B_K) of each matter site's window on the chain
+    (A_1, B_1, ..., A_N, B_N); the left B site wraps around cyclically."""
+    return [(k, (2 * k, (2 * k - 1) % (2 * n), 2 * k + 1)) for k in range(n)]
+
+
+def _check_windows(setting, chain, n_values, op_lists, windows, tol,
+                   summed=False, labels=None) -> SymmetryReport:
+    """Residuals of every element's window action on psi_N = chain(N).
+
+    `op_lists` holds one (label, matrix) list per window slot, in the order
+    the ops are applied, and elements are named after `labels` (default the
+    first list).  `windows(N)` yields (site, axes); ops[i] acts on axes[i],
+    and a lone op acts on every axis.  The product of an element's ops must
+    leave psi unchanged, ||O psi - psi|| / ||psi||; with `summed` their sum
+    must annihilate it, ||sum_j O_j psi|| / ||psi||.
+    """
+    n_values = tuple(n_values)
+    lengths = [len(ops) for ops in op_lists]
+    if len(set(lengths)) != 1:
+        raise SymmetryError(f"{setting}: operator lists of unequal lengths {lengths}")
+    if not lengths[0] or not n_values:
+        raise SymmetryError(f"{setting}: nothing to check ({lengths[0]} elements, "
+                            f"N={list(n_values)})")
+    elements = [(label, tuple(m for _, m in ops)) for (label, _), ops
+                in zip(labels or op_lists[0], zip(*op_lists))]
+    records = []
+    for n in n_values:
+        psi = chain(n)
+        norm = max(np.linalg.norm(psi), 1e-300)
+        wins = list(windows(n))
+        for label, ops in elements:
+            # every window puts each op on the same kind of site
+            for op, axis in zip(cycle(ops), wins[0][1]):
+                if np.shape(op) != (psi.shape[axis],) * 2:
+                    raise DimMismatch(
+                        f"{setting}: operator {label} has shape {np.shape(op)}, "
+                        f"its site has dimension {psi.shape[axis]}")
+            for site, axes in wins:
+                placed = zip(cycle(ops), axes)
+                if summed:
+                    (op, axis), *rest = placed
+                    out = _apply_site(psi, op, axis)
+                    for op, axis in rest:
+                        out = out + _apply_site(psi, op, axis)
+                else:
+                    out = psi
+                    for op, axis in placed:
+                        out = _apply_site(out, op, axis)
+                    out = out - psi
+                records.append((n, label, site, float(np.linalg.norm(out) / norm)))
+    return SymmetryReport(setting, n_values, tol, tuple(records))
+
+
 def check_local_symmetry_matter(t: MpsTensor, theta_ops, n_max: int,
                                 tol: float = PASS_TOL) -> SymmetryReport:
     """Single-site action of Theta(g) at site 1 (sufficient under TI)."""
-    records = []
-    for n in range(1, n_max + 1):
-        psi = contract_mpv(t, n)
-        norm = np.linalg.norm(psi)
-        for label, op in theta_ops:
-            if op.shape[0] != t.phys_dim:
-                raise DimMismatch("operator dimension != physical dimension")
-            res = np.linalg.norm(_apply_site(psi, op, 0) - psi) / max(norm, 1e-300)
-            records.append((n, label, 0, float(res)))
-    return SymmetryReport("matter-local", tuple(range(1, n_max + 1)), tol,
-                          tuple(records))
+    return _check_windows("matter-local", lambda n: contract_mpv(t, n),
+                          range(1, n_max + 1), (theta_ops,),
+                          lambda n: [(0, (0,))], tol)
 
 
 def check_global_symmetry(t: MpsTensor, theta_ops, n_max: int,
                           tol: float = PASS_TOL) -> SymmetryReport:
-    records = []
-    for n in range(1, n_max + 1):
-        psi = contract_mpv(t, n)
-        norm = np.linalg.norm(psi)
-        for label, op in theta_ops:
-            rotated = psi
-            for site in range(n):
-                rotated = _apply_site(rotated, op, site)
-            res = np.linalg.norm(rotated - psi) / max(norm, 1e-300)
-            records.append((n, label, -1, float(res)))
-    return SymmetryReport("matter-global", tuple(range(1, n_max + 1)), tol,
-                          tuple(records))
+    """Theta(g) on every site at once."""
+    return _check_windows("matter-global", lambda n: contract_mpv(t, n),
+                          range(1, n_max + 1), (theta_ops,),
+                          lambda n: [(-1, tuple(range(n)))], tol)
 
 
 def check_local_symmetry_gauge(t: MpsTensor, r_ops, l_ops, n_max: int,
                                tol: float = PASS_TOL) -> SymmetryReport:
     """R(g) at site K with L(g) at site K+1 (cyclic), for every K."""
-    records = []
-    for n in range(2, n_max + 1):
-        psi = contract_mpv(t, n)
-        norm = np.linalg.norm(psi)
-        for (label, r_op), (_, l_op) in zip(r_ops, l_ops):
-            for k in range(n):
-                rotated = _apply_site(psi, r_op, k)
-                rotated = _apply_site(rotated, l_op, (k + 1) % n)
-                res = np.linalg.norm(rotated - psi) / max(norm, 1e-300)
-                records.append((n, label, k, float(res)))
-    return SymmetryReport("gauge-local", tuple(range(2, n_max + 1)), tol,
-                          tuple(records))
+    return _check_windows("gauge-local", lambda n: contract_mpv(t, n),
+                          range(2, n_max + 1), (r_ops, l_ops),
+                          lambda n: [(k, (k, (k + 1) % n)) for k in range(n)],
+                          tol)
 
 
 def check_local_symmetry_matter_gauge(pair: TensorPair, r_ops, theta_ops,
@@ -142,22 +174,10 @@ def check_local_symmetry_matter_gauge(pair: TensorPair, r_ops, theta_ops,
     Sites are ordered (A_1, B_1, ..., A_N, B_N); the window around matter
     site K uses the B site to its left (cyclically) and to its right.
     """
-    records = []
-    for n in range(1, n_max + 1):
-        psi = contract_pair_mpv(pair, n)
-        norm = np.linalg.norm(psi)
-        for (label, r_op), (_, th_op), (_, l_op) in zip(r_ops, theta_ops, l_ops):
-            for k in range(n):
-                a_axis = 2 * k
-                b_left = (2 * k - 1) % (2 * n)
-                b_right = 2 * k + 1
-                rotated = _apply_site(psi, th_op, a_axis)
-                rotated = _apply_site(rotated, r_op, b_left)
-                rotated = _apply_site(rotated, l_op, b_right)
-                res = np.linalg.norm(rotated - psi) / max(norm, 1e-300)
-                records.append((n, label, k, float(res)))
-    return SymmetryReport("matter-gauge-local", tuple(range(1, n_max + 1)), tol,
-                          tuple(records))
+    return _check_windows("matter-gauge-local",
+                          lambda n: contract_pair_mpv(pair, n),
+                          range(1, n_max + 1), (theta_ops, r_ops, l_ops),
+                          _bab_windows, tol, labels=r_ops)
 
 
 # ----------------------------------------------------------------------------
@@ -564,22 +584,11 @@ def check_gauss_law(pair: TensorPair, ops: GaussOperators, n_max: int,
                     tol: float = PASS_TOL) -> SymmetryReport:
     """Residuals ||(R_a + Q_a + L_a around each matter site) psi|| / ||psi||."""
     ops.validate()
-    records = []
-    for n in range(1, n_max + 1):
-        psi = contract_pair_mpv(pair, n)
-        norm = np.linalg.norm(psi)
-        for a in range(len(ops.q_gens)):
-            for k in range(n):
-                a_axis = 2 * k
-                b_left = (2 * k - 1) % (2 * n)
-                b_right = 2 * k + 1
-                acc = _apply_site(psi, ops.q_gens[a], a_axis)
-                acc = acc + _apply_site(psi, ops.r_gens[a], b_left)
-                acc = acc + _apply_site(psi, ops.l_gens[a], b_right)
-                res = np.linalg.norm(acc) / max(norm, 1e-300)
-                records.append((n, f"a{a + 1}", k, float(res)))
-    return SymmetryReport("gauss-law", tuple(range(1, n_max + 1)), tol,
-                          tuple(records))
+    q_ops, r_ops, l_ops = ([(f"a{a + 1}", g) for a, g in enumerate(gens)]
+                           for gens in (ops.q_gens, ops.r_gens, ops.l_gens))
+    return _check_windows("gauss-law", lambda n: contract_pair_mpv(pair, n),
+                          range(1, n_max + 1), (q_ops, r_ops, l_ops),
+                          _bab_windows, tol, summed=True)
 
 
 # ----------------------------------------------------------------------------

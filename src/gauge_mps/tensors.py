@@ -79,16 +79,18 @@ class TensorPair:
     @property
     def combined(self) -> MpsTensor:
         """The two-site tensor (AB)^{i,j} = A^i B^j with physical index i*dB+j."""
-        ab = np.einsum("iab,jbc->ijac", self.A.entries, self.B.entries)
-        d = self.A.phys_dim * self.B.phys_dim
-        return MpsTensor(ab.reshape(d, self.A.left_dim, self.A.left_dim))
+        return _two_site(self.A, self.B)
 
     @property
     def reversed(self) -> MpsTensor:
         """(BA)^{j,i} = B^j A^i."""
-        ba = np.einsum("jab,ibc->jiac", self.B.entries, self.A.entries)
-        d = self.A.phys_dim * self.B.phys_dim
-        return MpsTensor(ba.reshape(d, self.B.left_dim, self.B.left_dim))
+        return _two_site(self.B, self.A)
+
+
+def _two_site(first: MpsTensor, second: MpsTensor) -> MpsTensor:
+    prod = np.einsum("iab,jbc->ijac", first.entries, second.entries)
+    return MpsTensor(prod.reshape(first.phys_dim * second.phys_dim,
+                                  first.left_dim, second.right_dim))
 
 
 def _check_size(total, cap=None):
@@ -101,14 +103,8 @@ def contract_mpv(t: MpsTensor, n: int, cap=None) -> np.ndarray:
     """Coefficients Tr(A^{i1}...A^{iN}) as an array of shape (d,)*N."""
     if not t.is_square:
         raise DimMismatch("contraction needs matching bond dimensions")
-    d, D = t.phys_dim, t.left_dim
-    _check_size(d ** n * D * D, cap)
-    prod = t.entries
-    for _ in range(n - 1):
-        prod = np.einsum("aij,bjk->abik", prod.reshape(-1, D, D), t.entries)
-        prod = prod.reshape(-1, D, D)
-    coeffs = np.trace(prod, axis1=1, axis2=2)
-    return coeffs.reshape((d,) * n)
+    coeffs = np.trace(block(t, n, cap).entries, axis1=1, axis2=2)
+    return coeffs.reshape((t.phys_dim,) * n)
 
 
 def contract_pair_mpv(p: TensorPair, n_pairs: int, cap=None) -> np.ndarray:
@@ -120,10 +116,9 @@ def contract_pair_mpv(p: TensorPair, n_pairs: int, cap=None) -> np.ndarray:
 
 def block(t: MpsTensor, b: int, cap=None) -> MpsTensor:
     """b-fold blocking: matrices indexed by (i1..ib) are ordered products."""
+    _check_size(t.phys_dim ** b * t.left_dim * t.right_dim, cap)
     if b == 1:
         return t
-    d = t.phys_dim
-    _check_size(d ** b * t.left_dim * t.right_dim, cap)
     prod = t.entries
     for _ in range(b - 1):
         prod = np.einsum("aij,bjk->abik", prod.reshape(-1, prod.shape[-2], prod.shape[-1]),

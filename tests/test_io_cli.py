@@ -189,3 +189,44 @@ def test_cli_construct_round_trip(tmp_path):
                  "--out", str(gauged)]) == 0
     assert main(["verify", "--setting", "bab", "--bundle", str(gauged),
                  "--n-max", "3"]) == 0
+
+
+def _emptied_ops(doc):
+    for name in ("theta", "r", "l"):
+        doc["ops"][name] = []
+
+
+def _one_r_op(doc):
+    doc["ops"]["r"] = doc["ops"]["r"][:1]
+
+
+def _wrong_size_r_op(doc):
+    doc["ops"]["r"][0]["matrix"] = io.encode_array(np.eye(3))
+
+
+def _two_r_generators(doc):
+    gens = io.decode_array(doc["generators"]["r"])
+    doc["generators"]["r"] = io.encode_array(gens[:2])
+
+
+@pytest.mark.parametrize("example,mutate,setting,n_max", [
+    ("d10", _emptied_ops, "bab", 3),
+    ("d10", None, "gauge-local", 1),     # N = [] for the two-site windows
+    ("d10", _one_r_op, "bab", 3),
+    ("su2", _two_r_generators, "gauss", 2),
+    ("d10", _wrong_size_r_op, "gauge-local", 2),
+], ids=["empty-ops", "empty-n-range", "short-r-list", "short-gauss-r",
+        "wrong-size-r-op"])
+def test_cli_verify_rejects_malformed_checks(tmp_path, capsys, example, mutate,
+                                             setting, n_max):
+    cons = build_d10_example() if example == "d10" else build_su2_example()
+    doc = io.bundle_to_dict(cons)
+    if mutate is not None:
+        mutate(doc)
+    bundle = tmp_path / "bundle.json"
+    io.save_json(doc, bundle)
+    report = tmp_path / "report.txt"
+    assert main(["verify", "--setting", setting, "--bundle", str(bundle),
+                 "--n-max", str(n_max), "--out", str(report)]) == 2
+    assert not report.exists()
+    assert capsys.readouterr().err.startswith("error: ")

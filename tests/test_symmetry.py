@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from gauge_mps.symmetry import (
     verify_relation_A,
     verify_relation_B,
 )
-from gauge_mps.tensors import MpsTensor, TensorPair
+from gauge_mps.tensors import MpsTensor, TensorPair, contract_mpv, contract_pair_mpv
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +219,85 @@ def test_su2_windows_and_gauss(d10):
     assert max(r for _, r in verify_relation_A(su2.pair.A, th_ops, xs, ys)) < 1e-12
     assert max(r for _, r in verify_relation_B(su2.pair.B, r_ops, l_ops,
                                                xs, ys)) < 1e-12
+
+
+def _dense_residual(psi, placed, summed):
+    """||O psi - psi|| / ||psi|| (or ||sum_j O_j psi|| / ||psi||) with O
+    the Kronecker product over the whole chain; `placed` lists (site, op) in
+    the order the ops act."""
+    vec = psi.reshape(-1)
+
+    def full(pairs):
+        mats = [np.eye(dim) for dim in psi.shape]
+        for site, op in pairs:
+            mats[site] = op @ mats[site]
+        return reduce(np.kron, mats)
+
+    if summed:
+        out = sum(full([pair]) @ vec for pair in placed)
+    else:
+        out = full(placed) @ vec - vec
+    return np.linalg.norm(out) / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("example", ["d10", "su2"])
+def test_window_axes_match_dense_reference(example):
+    rng = np.random.default_rng(5)
+
+    def noisy(t):   # no window leaves the perturbed state invariant
+        noise = rng.normal(size=t.entries.shape) + 1j * rng.normal(size=t.entries.shape)
+        return MpsTensor(t.entries + 0.3 * noise)
+
+    if example == "d10":
+        cons = build_d10_example()
+        r_ops, th_ops, l_ops = cons.r_ops, cons.theta_ops, cons.l_ops
+    else:   # spin-1 matter keeps the N = 3 pair chain at 12^3 amplitudes
+        cons = build_su2_example(j_set=(1.0,))
+        r_ops, th_ops, l_ops, _, _ = cons.sampled_ops(su2_samples(2, seed=4))
+    pair = TensorPair(noisy(cons.pair.A), noisy(cons.pair.B))
+    a_t, b_t = pair.A, pair.B
+
+    def bab(n, ops):
+        return [(k, [(2 * k, ops[0]), ((2 * k - 1) % (2 * n), ops[1]),
+                     (2 * k + 1, ops[2])]) for k in range(n)]
+
+    def elements(*op_lists):
+        return [(lbl, [m for _, m in ops]) for (lbl, _), ops
+                in zip(op_lists[0], zip(*op_lists))]
+
+    # setting -> (report, state, elements, windows(N, ops) -> [(site, placed)])
+    cases = {
+        "matter-local": (check_local_symmetry_matter(a_t, th_ops, 3),
+                         lambda n: contract_mpv(a_t, n), elements(th_ops),
+                         lambda n, ops: [(0, [(0, ops[0])])]),
+        "matter-global": (check_global_symmetry(a_t, th_ops, 3),
+                          lambda n: contract_mpv(a_t, n), elements(th_ops),
+                          lambda n, ops: [(-1, [(s, ops[0]) for s in range(n)])]),
+        "gauge-local": (check_local_symmetry_gauge(b_t, r_ops, l_ops, 3),
+                        lambda n: contract_mpv(b_t, n), elements(r_ops, l_ops),
+                        lambda n, ops: [(k, [(k, ops[0]), ((k + 1) % n, ops[1])])
+                                        for k in range(n)]),
+        "bab": (check_local_symmetry_matter_gauge(pair, r_ops, th_ops, l_ops, 3),
+                lambda n: contract_pair_mpv(pair, n),
+                elements(r_ops, th_ops, l_ops),
+                lambda n, ops: bab(n, [ops[1], ops[0], ops[2]])),
+    }
+    if example == "su2":
+        gens = [[(f"a{a + 1}", g) for a, g in enumerate(gs)] for gs in
+                (cons.gauss.q_gens, cons.gauss.r_gens, cons.gauss.l_gens)]
+        cases["gauss"] = (check_gauss_law(pair, cons.gauss, 3),
+                          lambda n: contract_pair_mpv(pair, n),
+                          elements(*gens), bab)
+    for setting, (report, state, elems, windows) in cases.items():
+        want = []
+        for n in report.n_values:
+            psi = state(n)
+            for label, ops in elems:
+                for site, placed in windows(n, ops):
+                    want.append((n, label, site,
+                                 _dense_residual(psi, placed, setting == "gauss")))
+        assert [r[:3] for r in report.records] == [w[:3] for w in want], setting
+        got = np.array([r[3] for r in report.records])
+        ref = np.array([w[3] for w in want])
+        assert (ref > 1e-3).mean() > 0.8, setting   # only identities stay 0
+        np.testing.assert_allclose(got, ref, rtol=1e-10, err_msg=setting)
