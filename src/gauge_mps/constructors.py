@@ -30,12 +30,11 @@ from .reps import (
 from .su2 import (
     conjugate_generators,
     coupled_basis,
-    element_from_generators,
     product_generators,
     spin_dim,
     su2_generators,
 )
-from .symmetry import GaussOperators, rep_ops
+from .symmetry import GaussOperators, sampled_ops
 from .tensors import MpsTensor, TensorPair
 
 
@@ -75,6 +74,14 @@ def irreps_equivalent(a: Irrep, b: Irrep, tol=1e-8) -> bool:
     if not a.multiplier.close_to(b.multiplier, tol):
         return False
     return len(intertwiner_space(a, b, tol)) == 1
+
+
+def _elementary_entries(dl, dr, value=1.0) -> np.ndarray:
+    """Entries of `value` |m><n| on H_l x H_r: entries[m*dr+n, m, n] = value."""
+    entries = np.zeros((dl * dr, dl, dr), dtype=complex)
+    m, nn = np.divmod(np.arange(dl * dr), dr)
+    entries[np.arange(dl * dr), m, nn] = value
+    return entries
 
 
 @dataclass(frozen=True)
@@ -118,11 +125,7 @@ def elementary_b_block(l: Irrep, r: Irrep, x: Irrep = None,
         flag = f"y irrep {y.label!r} not equivalent to conj({l.label!r})"
     if x is None:
         x = r
-    entries = np.zeros((dl * dr, dl, dr), dtype=complex)
-    if flag is None:
-        for m in range(dl):
-            for nn in range(dr):
-                entries[m * dr + nn, m, nn] = 1.0
+    entries = _elementary_entries(dl, dr, 1.0 if flag is None else 0.0)
     r_mats = np.array([np.kron(np.eye(dl), r.matrices[g]) for g in range(n)])
     l_mats = np.array([np.kron(l.matrices[g], np.eye(dr)) for g in range(n)])
     return GaugeBBlock(
@@ -209,9 +212,7 @@ def gauge_global_symmetry(a_t: MpsTensor, x_mats, group, catalog,
     off = 0
     for k, (lab, _q, sl) in enumerate(copies):
         dk = dims[lab]
-        for m in range(dk):
-            for nn in range(dk):
-                entries[off + m * dk + nn, sl.start + m, sl.start + nn] = betas[k]
+        entries[off:off + dk * dk, sl, sl] = _elementary_entries(dk, dk, betas[k])
         for g in range(n):
             r_phys[g, off:off + dk * dk, off:off + dk * dk] = \
                 np.kron(np.eye(dk), mats[lab][g])
@@ -347,15 +348,12 @@ class Su2Construction:
 
     def sampled_ops(self, samples):
         """(r_ops, theta_ops, l_ops, x_mats, y_mats) at parameter triples."""
-        r_ops, th_ops, l_ops, xs, ys = [], [], [], [], []
-        for k, phi in enumerate(samples):
-            lbl = f"s{k}"
-            r_ops.append((lbl, element_from_generators(self.gauss.r_gens, phi)))
-            th_ops.append((lbl, element_from_generators(self.gauss.q_gens, phi)))
-            l_ops.append((lbl, element_from_generators(self.gauss.l_gens, phi)))
-            xs.append(element_from_generators(self.x_gens, phi))
-            ys.append(element_from_generators(self.y_gens, phi))
-        return r_ops, th_ops, l_ops, xs, ys
+        r_ops, th_ops, l_ops, x_ops, y_ops = (
+            sampled_ops(gens, samples) for gens in (
+                self.gauss.r_gens, self.gauss.q_gens, self.gauss.l_gens,
+                self.x_gens, self.y_gens))
+        return (r_ops, th_ops, l_ops, [m for _, m in x_ops],
+                [m for _, m in y_ops])
 
 
 def build_su2_example(r=0.5, l=0.5, j_set=(0.0, 1.0),
@@ -394,10 +392,7 @@ def build_su2_example(r=0.5, l=0.5, j_set=(0.0, 1.0),
         a_entries[off:off + dj] = alpha * np.conj(coeffs)
         q_gens[:, off:off + dj, off:off + dj] = su2_generators(jv)
         off += dj
-    b_entries = np.zeros((dl * dr, dl, dr), dtype=complex)
-    for m in range(dl):
-        for nn in range(dr):
-            b_entries[m * dr + nn, m, nn] = 1.0
+    b_entries = _elementary_entries(dl, dr)
     r_gens = np.array([np.kron(np.eye(dl), gens_r[a]) for a in range(3)])
     l_gens = np.array([np.kron(-np.conj(gens_l[a]), np.eye(dr)) for a in range(3)])
     pair = TensorPair(MpsTensor(a_entries), MpsTensor(b_entries))

@@ -89,10 +89,6 @@ class GaugeNotFound(TensorError):
     pass
 
 
-class NotInCF(TensorError):
-    pass
-
-
 class NotNormal(TensorError):
     pass
 
@@ -115,10 +111,6 @@ class BadAlgebra(SymmetryError):
     pass
 
 
-class NormalityContradiction(SymmetryError):
-    pass
-
-
 # --- constructors ---
 
 class ConstructionError(GaugeMpsError):
@@ -138,10 +130,6 @@ class MixedCohomology(ConstructionError):
 
 
 class BadSpinSet(ConstructionError):
-    pass
-
-
-class IrrepMismatch(ConstructionError):
     pass
 
 

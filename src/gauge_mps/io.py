@@ -35,6 +35,8 @@ def decode_array(data, pointer="") -> np.ndarray:
         raise SchemaError(f"{pointer}: not a numeric array ({exc})") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise SchemaError(f"{pointer}: complex entries must be [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{pointer}: non-finite number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -26,6 +26,7 @@ from .groups import (
     quaternion_group,
     symmetric_group_s3,
 )
+from .tensors import _conj_kron_sum
 
 DEFAULT_TOL = 1e-10
 
@@ -114,26 +115,30 @@ def check_projective_rep(matrices, group: FiniteGroup, tol=DEFAULT_TOL) -> Multi
         if np.linalg.norm(mats[g].conj().T @ mats[g] - eye) > tol * d:
             raise NonUnitary(f"matrix for element {group.name(g)} is not unitary")
     gamma = np.empty((n, n), dtype=complex)
-    for g in range(n):
-        for h in range(n):
-            gh = group.multiply(g, h)
-            prod = mats[g] @ mats[h]
-            phase = np.trace(mats[gh].conj().T @ prod) / d
-            if abs(abs(phase) - 1) > 1e-6:
-                raise NotARep(
-                    f"U({group.name(g)})U({group.name(h)}) not proportional to "
-                    f"U({group.name(gh)})"
-                )
-            phase /= abs(phase)
-            if np.linalg.norm(prod - phase * mats[gh]) > tol * d:
-                raise NotARep(
-                    f"U({group.name(g)})U({group.name(h)}) not proportional to "
-                    f"U({group.name(gh)})"
-                )
-            gamma[g, h] = phase
+    for g, h, gh, prod, phase in _multiplier_phases(mats, group,
+                                                    lambda u: u.conj().T):
+        if abs(abs(phase) - 1) > 1e-6 or \
+                np.linalg.norm(prod - phase / abs(phase) * mats[gh]) > tol * d:
+            raise NotARep(
+                f"U({group.name(g)})U({group.name(h)}) not proportional to "
+                f"U({group.name(gh)})"
+            )
+        gamma[g, h] = phase / abs(phase)
     mult = Multiplier(group, gamma)
     mult.validate(tol=1e-8)
     return mult
+
+
+def _multiplier_phases(mats, group: FiniteGroup, inverse):
+    """Yield (g, h, gh, U(g)U(h), Tr(U(gh)^-1 U(g)U(h)) / dim) for every
+    pair of elements; `inverse` maps each U(g) to its inverse, once each."""
+    invs = [inverse(u) for u in mats]
+    d = mats[0].shape[0]
+    for g in range(group.order):
+        for h in range(group.order):
+            gh = group.multiply(g, h)
+            prod = mats[g] @ mats[h]
+            yield g, h, gh, prod, np.trace(invs[gh] @ prod) / d
 
 
 def make_rep(group: FiniteGroup, matrices, tol=DEFAULT_TOL) -> Rep:
@@ -146,24 +151,6 @@ def make_irrep(group: FiniteGroup, matrices, label: str, tol=DEFAULT_TOL) -> Irr
     mats = np.asarray(matrices, dtype=complex)
     mult = check_projective_rep(mats, group, tol=tol)
     return Irrep(group, mats, mult, label)
-
-
-def rep_from_generators(group: FiniteGroup, words, gen_mats, label=None):
-    """Build rep matrices from generator images.
-
-    `words` maps each element index to a sequence of generator indices whose
-    product (left to right) is that element.
-    """
-    d = gen_mats[0].shape[0]
-    mats = np.empty((group.order, d, d), dtype=complex)
-    for g, word in enumerate(words):
-        m = np.eye(d, dtype=complex)
-        for w in word:
-            m = m @ gen_mats[w]
-        mats[g] = m
-    if label is None:
-        return make_rep(group, mats)
-    return make_irrep(group, mats, label)
 
 
 def conjugate_rep(rep: Rep) -> Rep:
@@ -195,17 +182,13 @@ def intertwiner_space(rep1: Rep, rep2: Rep, tol=1e-8):
         raise GroupMismatch("representations over different groups")
     if not rep1.multiplier.close_to(rep2.multiplier):
         raise MultiplierMismatch("intertwiners require equal multipliers")
-    n = rep1.group.order
-    d1, d2 = rep1.dim, rep2.dim
     # row-major vec: vec(U T W^dag) = kron(U, conj(W)) vec(T)
-    twirl = np.zeros((d2 * d1, d2 * d1), dtype=complex)
-    for g in range(n):
-        twirl += np.kron(rep2.matrices[g], np.conj(rep1.matrices[g]))
-    twirl /= n
+    twirl = _conj_kron_sum(rep2.matrices, rep1.matrices)
+    twirl /= rep1.group.order
     # the twirl is a Hermitian projector; its eigenvalue-1 space is the answer
     evals, evecs = np.linalg.eigh(twirl)
     keep = np.nonzero(np.abs(evals - 1) < tol)[0]
-    return [evecs[:, k].reshape(d2, d1) for k in keep]
+    return [evecs[:, k].reshape(rep2.dim, rep1.dim) for k in keep]
 
 
 @dataclass(frozen=True)

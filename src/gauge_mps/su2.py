@@ -1,15 +1,16 @@
 """SU(2) spin representations: generators, sampled elements, coupling.
 
 Group elements are handled as sampled parameter triples phi with
-D^j(phi) = expm(i sum_a phi_a tau^j_a); all "for all g" checks elsewhere
+D^j(phi) = exp(i sum_a phi_a tau^j_a); all "for all g" checks elsewhere
 combine seeded samples with exact generator-level identities.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import BadSpinSet
+from .errors import BadAlgebra, BadSpinSet
+
+_HERMITIAN_TOL = 1e-10  # relative ||H - H^dag|| accepted in a group element
 
 EPS_ABC = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -40,13 +41,26 @@ def su2_generators(j) -> np.ndarray:
 
 
 def su2_element(j, phi) -> np.ndarray:
-    """D^j(phi) = expm(i sum_a phi_a tau_a)."""
-    tau = su2_generators(j)
-    return expm(1j * np.einsum("a,aij->ij", np.asarray(phi, float), tau))
+    """D^j(phi) = exp(i sum_a phi_a tau_a)."""
+    return element_from_generators(su2_generators(j), phi)
 
 
 def element_from_generators(gens, phi) -> np.ndarray:
-    return expm(1j * np.einsum("a,aij->ij", np.asarray(phi, float), np.asarray(gens)))
+    """exp(i H) for the Hermitian H = sum_a phi_a gens_a, from H's eigenbasis.
+
+    `phi` may stack parameter triples, shape (..., 3), for one element each;
+    a stack is exponentiated in one batched `eigh`.  Generators whose
+    combination is not Hermitian (relative to ||H||) are rejected, since
+    they would not give a unitary group element.
+    """
+    h = np.einsum("...a,aij->...ij", np.asarray(phi, float), np.asarray(gens))
+    h_dag = np.conj(np.swapaxes(h, -1, -2))
+    skew = np.linalg.norm(h - h_dag, axis=(-2, -1))
+    if not np.all(skew <= _HERMITIAN_TOL * np.linalg.norm(h, axis=(-2, -1))):
+        raise BadAlgebra("generators are not Hermitian "
+                         f"(||H - H^dag|| = {np.max(skew):.3e})")
+    w, v = np.linalg.eigh((h + h_dag) / 2)
+    return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 def su2_samples(count: int, seed: int = 0) -> np.ndarray:

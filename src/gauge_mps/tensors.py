@@ -139,11 +139,16 @@ def apply_transfer(t: MpsTensor, x: np.ndarray, other: MpsTensor = None) -> np.n
 def transfer_matrix(t: MpsTensor, other: MpsTensor = None) -> np.ndarray:
     """Matrix of E acting on row-major vec(X): sum_i kron(A^i, conj(B^i))."""
     other = other if other is not None else t
-    d1 = t.left_dim * other.left_dim
-    d2 = t.right_dim * other.right_dim
-    out = np.zeros((d1, d2), dtype=complex)
-    for i in range(t.phys_dim):
-        out += np.kron(t.entries[i], np.conj(other.entries[i]))
+    return _conj_kron_sum(t.entries, other.entries)
+
+
+def _conj_kron_sum(us, ws) -> np.ndarray:
+    """sum_k kron(us[k], conj(ws[k])), accumulated in order of k: the map
+    X -> sum_k U_k X W_k^dag on row-major vec(X)."""
+    out = np.zeros((us.shape[1] * ws.shape[1], us.shape[2] * ws.shape[2]),
+                   dtype=complex)
+    for u, w in zip(us, ws):
+        out += np.kron(u, np.conj(w))
     return out
 
 

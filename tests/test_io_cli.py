@@ -24,6 +24,14 @@ def test_tensor_round_trip():
     assert np.array_equal(t.entries, t2.entries)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_decode_array_rejects_non_finite(value):
+    data = io.encode_array(np.eye(2))
+    data[1][0][1] = value
+    with pytest.raises(SchemaError):
+        io.decode_array(data)
+
+
 def test_tensor_shape_mismatch_rejected():
     doc = io.tensor_to_dict(MpsTensor(np.zeros((2, 2, 2))))
     doc["phys_dim"] = 3
@@ -209,14 +217,26 @@ def _two_r_generators(doc):
     doc["generators"]["r"] = io.encode_array(gens[:2])
 
 
+def _nan_theta_entry(doc):
+    doc["ops"]["theta"][0]["matrix"][0][0][0] = float("nan")
+
+
+def _non_hermitian_r_generator(doc):
+    gens = io.decode_array(doc["generators"]["r"])
+    gens[0, 0, -1] += 0.5
+    doc["generators"]["r"] = io.encode_array(gens)
+
+
 @pytest.mark.parametrize("example,mutate,setting,n_max", [
     ("d10", _emptied_ops, "bab", 3),
     ("d10", None, "gauge-local", 1),     # N = [] for the two-site windows
     ("d10", _one_r_op, "bab", 3),
     ("su2", _two_r_generators, "gauss", 2),
     ("d10", _wrong_size_r_op, "gauge-local", 2),
+    ("d10", _nan_theta_entry, "bab", 2),
+    ("su2", _non_hermitian_r_generator, "bab", 2),
 ], ids=["empty-ops", "empty-n-range", "short-r-list", "short-gauss-r",
-        "wrong-size-r-op"])
+        "wrong-size-r-op", "nan-theta-op", "non-hermitian-r"])
 def test_cli_verify_rejects_malformed_checks(tmp_path, capsys, example, mutate,
                                              setting, n_max):
     cons = build_d10_example() if example == "d10" else build_su2_example()

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from gauge_mps.errors import BadSpinSet
+import gauge_mps
+from gauge_mps.errors import BadAlgebra, BadSpinSet
 from gauge_mps.su2 import (
     check_su2_commutators,
     conjugate_generators,
@@ -43,13 +48,63 @@ def test_conjugate_and_product_generators_close_algebra():
     assert check_su2_commutators(prod) < 1e-12
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def test_spin_half_elements_match_closed_form():
+    # exp(i phi.sigma / 2) = cos(|phi|/2) 1 + i sin(|phi|/2) phi_hat.sigma
+    for phi in np.random.default_rng(5).normal(scale=2.0, size=(6, 3)):
+        angle = np.linalg.norm(phi)
+        axis_sigma = np.einsum("a,aij->ij", phi / angle, PAULI)
+        want = np.cos(angle / 2) * np.eye(2) + 1j * np.sin(angle / 2) * axis_sigma
+        assert np.allclose(su2_element(0.5, phi), want, atol=1e-13)
+
+
+@pytest.mark.parametrize("j", [0, 0.5, 1, 1.5, 2])
+def test_full_turn_is_plus_or_minus_identity(j):
+    axis = np.random.default_rng(int(2 * j)).normal(size=3)
+    phi = 2 * np.pi * axis / np.linalg.norm(axis)
+    want = (-1) ** int(2 * j) * np.eye(spin_dim(j))
+    assert np.allclose(su2_element(j, phi), want, atol=1e-12)
+
+
 def test_elements_are_unitary_and_consistent():
-    phi = [0.3, -1.2, 0.7]
-    for j in (0.5, 1):
+    # unitary, and D(phi) D(-phi) = 1
+    phi = np.array([0.3, -1.2, 0.7])
+    for j in (0.5, 1, 1.5, 2):
         u = su2_element(j, phi)
         d = spin_dim(j)
         assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
-        assert np.allclose(u, element_from_generators(su2_generators(j), phi))
+        assert np.allclose(u @ su2_element(j, -phi), np.eye(d), atol=1e-12)
+
+
+def test_stacked_parameters_match_one_at_a_time():
+    gens = product_generators(su2_generators(1), su2_generators(0.5))
+    samples = su2_samples(7, seed=1)
+    stacked = element_from_generators(gens, samples)
+    assert stacked.shape == (7, 6, 6)
+    for phi, u in zip(samples, stacked):
+        assert np.allclose(u, element_from_generators(gens, phi), atol=1e-13)
+
+
+def test_element_rejects_non_hermitian_generators():
+    gens = su2_generators(1).copy()
+    gens[0, 0, 2] += 0.1
+    with pytest.raises(BadAlgebra):
+        element_from_generators(gens, [0.4, 0.0, 0.0])
+    # the Hermitian generators alone still exponentiate
+    u = element_from_generators(gens, [0.0, 0.4, -0.2])
+    assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-12)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(gauge_mps.__file__))
+    code = ("import sys, gauge_mps, gauge_mps.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_group_law_on_rotations_about_one_axis():

@@ -14,6 +14,7 @@ from gauge_mps.reps import Rep, builtin_catalog, clebsch_gordan, conjugate_rep
 from gauge_mps.su2 import su2_samples
 from gauge_mps.symmetry import (
     GaussOperators,
+    SymmetryReport,
     analyze_b_structure,
     analyze_gauge_hilbert,
     analyze_matter_local_symmetry,
@@ -52,6 +53,14 @@ def test_report_json_schema(d10):
                         "failures"}
     assert doc["failures"] == []
     assert doc["N_values"] == [1, 2]
+
+
+def test_report_counts_nan_residual_as_failure():
+    rep = SymmetryReport("matter-local", (1,), 1e-9,
+                         ((1, "a", 0, float("nan")), (1, "b", 0, 1e-12)))
+    assert not rep.passed
+    assert [r[1] for r in rep.failures] == ["a"]
+    assert np.isnan(rep.max_residual)
 
 
 def test_single_site_check_catches_symmetric_state():
