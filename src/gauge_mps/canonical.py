@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _tol
 from .errors import GaugeNotFound, NotEquivalent, NumericalDegeneracy
 from .tensors import (
     MpsTensor,
     TensorPair,
     _orth_basis,
+    _rank,
     block,
     contract_mpv,
     contract_pair_mpv,
@@ -29,14 +31,15 @@ from .tensors import (
 )
 
 MAX_BLOCK_ROUNDS = 6
+SUBSPACE_ATTEMPTS = 12  # random algebra elements tried before giving up
 
 
-def algebra_basis(mats, tol=1e-10):
+def algebra_basis(mats):
     """Orthonormal basis (rows) of the unital algebra generated by `mats`."""
     D = mats[0].shape[0]
     vecs = [np.eye(D, dtype=complex).reshape(-1)]
     vecs += [np.asarray(m, dtype=complex).reshape(-1) for m in mats]
-    basis = _orth_basis(vecs, tol)
+    basis = _orth_basis(vecs, _tol.ALGEBRA_RANK_CUTOFF)
     while True:
         if basis.shape[0] == D * D:
             return basis
@@ -45,13 +48,13 @@ def algebra_basis(mats, tol=1e-10):
             m = v.reshape(D, D)
             for a in mats:
                 nxt.append((m @ a).reshape(-1))
-        grown = _orth_basis(nxt, tol)
+        grown = _orth_basis(nxt, _tol.ALGEBRA_RANK_CUTOFF)
         if grown.shape[0] == basis.shape[0]:
             return grown
         basis = grown
 
 
-def find_invariant_subspace(mats, rng, tol=1e-9, attempts=12):
+def find_invariant_subspace(mats, rng):
     """Orthonormal columns spanning a proper common invariant subspace.
 
     Returns None when the matrices act irreducibly (generated algebra is
@@ -66,30 +69,31 @@ def find_invariant_subspace(mats, rng, tol=1e-9, attempts=12):
     if alg.shape[0] == D * D:
         return None
     scale = max(np.linalg.norm(m) for m in mats)
-    if scale < 1e-12:
+    if scale < _tol.ZERO_FLOOR:
         # zero tensor: every subspace is invariant
         basis = np.zeros((D, 1), dtype=complex)
         basis[0, 0] = 1.0
         return basis
     # cheap exact cases first: the joint column range and the joint kernel
     # are invariant; use them whenever they are proper.
-    cols = _orth_basis([c for m in mats for c in m.T], 1e-9)
+    cols = _orth_basis([c for m in mats for c in m.T])
     if 0 < cols.shape[0] < D:
         return cols.T.copy()
     stacked = np.vstack(mats)
     _, s, vh = np.linalg.svd(stacked)
-    rank = int(np.sum(s > 1e-9 * s[0]))
+    rank = _rank(s)
     if 0 < D - rank:
         return vh[rank:].conj().T
 
     best = None
-    for _ in range(attempts):
+    for _ in range(SUBSPACE_ATTEMPTS):
         coeff = rng.normal(size=alg.shape[0]) + 1j * rng.normal(size=alg.shape[0])
         m = (coeff @ alg).reshape(D, D)
         _, evecs = np.linalg.eig(m)
         for k in range(D):
             v = evecs[:, k]
-            orbit = _orth_basis([(e.reshape(D, D) @ v) for e in alg], 1e-8)
+            orbit = _orth_basis([(e.reshape(D, D) @ v) for e in alg],
+                                _tol.ORBIT_RANK_CUTOFF)
             r = orbit.shape[0]
             if r == 0 or r >= D:
                 continue
@@ -98,7 +102,8 @@ def find_invariant_subspace(mats, rng, tol=1e-9, attempts=12):
             res = max(
                 np.linalg.norm(a @ p - p @ (p.conj().T @ a @ p)) for a in mats
             )
-            if res <= 1e-7 * scale and (best is None or r < best.shape[1]):
+            if res <= _tol.INVARIANCE_TOL * scale and \
+                    (best is None or r < best.shape[1]):
                 best = p
         if best is not None:
             return best
@@ -108,7 +113,7 @@ def find_invariant_subspace(mats, rng, tol=1e-9, attempts=12):
     )
 
 
-def _split_leaves(t: MpsTensor, rng, tol=1e-9):
+def _split_leaves(t: MpsTensor, rng):
     """Recursively split into irreducible leaf tensors; drops zero leaves."""
     leaves = []
 
@@ -116,12 +121,12 @@ def _split_leaves(t: MpsTensor, rng, tol=1e-9):
         D = mats[0].shape[0]
         if D == 0:
             return
-        if max(np.linalg.norm(m) for m in mats) < 1e-12:
+        if max(np.linalg.norm(m) for m in mats) < _tol.ZERO_FLOOR:
             return
-        p = find_invariant_subspace(mats, rng, tol)
+        p = find_invariant_subspace(mats, rng)
         if p is None:
             leaf = MpsTensor(np.array(mats))
-            if spectral_radius(leaf) > 1e-12:
+            if spectral_radius(leaf) > _tol.ZERO_FLOOR:
                 leaves.append(leaf)
             return
         q = _orth_complement(p)
@@ -149,7 +154,8 @@ def cfii_fix(t: MpsTensor):
     y = fixed_point(t, left=True)
     wy, vy = np.linalg.eigh(y)
     y_half = vy @ np.diag(np.sqrt(wy.clip(min=0))) @ vy.conj().T
-    y_half_inv = vy @ np.diag(1 / np.sqrt(wy.clip(min=1e-300))) @ vy.conj().T
+    y_half_inv = vy @ np.diag(1 / np.sqrt(wy.clip(min=_tol.DIVISION_FLOOR))) \
+        @ vy.conj().T
     a1 = MpsTensor(np.einsum("ab,ibc,cd->iad", y_half, t.entries, y_half_inv))
     rho = fixed_point(a1, left=False)
     w, u = np.linalg.eigh(rho)
@@ -162,7 +168,7 @@ def cfii_fix(t: MpsTensor):
     return a2, m, lam
 
 
-def gauge_between_normal(t1: MpsTensor, t2: MpsTensor, tol=1e-6):
+def gauge_between_normal(t1: MpsTensor, t2: MpsTensor):
     """Find (s, phase) with t1 = phase * s t2 s^-1, for normal radius-1
     tensors, via the leading eigenvector of the mixed transfer map."""
     if t1.left_dim != t2.left_dim or t1.phys_dim != t2.phys_dim:
@@ -171,9 +177,9 @@ def gauge_between_normal(t1: MpsTensor, t2: MpsTensor, tol=1e-6):
     evals, evecs = np.linalg.eig(mix)
     k = int(np.argmax(np.abs(evals)))
     lam = evals[k]
-    if abs(abs(lam) - 1) > tol:
+    if abs(abs(lam) - 1) > _tol.GAUGE_TOL:
         raise GaugeNotFound(f"mixed transfer radius {abs(lam):.6f} != 1")
-    if np.sum(np.abs(evals) > abs(lam) * (1 - 1e-8)) != 1:
+    if np.sum(np.abs(evals) > abs(lam) * (1 - _tol.UNIT_CIRCLE_MARGIN)) != 1:
         raise GaugeNotFound("mixed transfer leading eigenvalue degenerate")
     phase = lam / abs(lam)
     D = t1.left_dim
@@ -188,8 +194,8 @@ def gauge_between_normal(t1: MpsTensor, t2: MpsTensor, tol=1e-6):
     resid = max(
         np.linalg.norm(t1.entries[i] - phase * s @ t2.entries[i] @ s_inv)
         for i in range(t1.phys_dim)
-    ) / max(1e-300, np.linalg.norm(t1.entries))
-    if resid > tol:
+    ) / max(_tol.DIVISION_FLOOR, np.linalg.norm(t1.entries))
+    if resid > _tol.GAUGE_TOL:
         raise GaugeNotFound(f"conjugation residual {resid:.3e}")
     return s, phase
 
@@ -224,14 +230,13 @@ class CanonicalFormResult:
         return total
 
 
-def canonical_form(t: MpsTensor, seed: int = 0, tol: float = 1e-9,
-                   n_check: int = None) -> CanonicalFormResult:
+def canonical_form(t: MpsTensor, seed: int = 0) -> CanonicalFormResult:
     """Decompose into weighted, similarity-conjugated normal blocks.
 
     Periodic tensors are blocked (factor = lcm of the component periods,
     iterated) before the final decomposition; the result describes the
     blocked tensor.  Reassembly is verified against the input for N up to
-    `n_check` (default 6, shrunk to respect the contraction size cap).
+    6, fewer (down to 2) while d^N D^2 exceeds 2^22.
     """
     if not t.is_square:
         raise NumericalDegeneracy("canonical form needs a square tensor")
@@ -239,7 +244,7 @@ def canonical_form(t: MpsTensor, seed: int = 0, tol: float = 1e-9,
     b = 1
     current = t
     for _ in range(MAX_BLOCK_ROUNDS):
-        leaves = _split_leaves(current, rng, tol)
+        leaves = _split_leaves(current, rng)
         periods = []
         for leaf in leaves:
             rho = spectral_radius(leaf)
@@ -279,25 +284,30 @@ def canonical_form(t: MpsTensor, seed: int = 0, tol: float = 1e-9,
         b,
         t,
     )
-    _verify_reassembly(result, current, n_check)
+    n_check = 6
+    while current.phys_dim ** n_check * current.left_dim ** 2 > 2 ** 22 and n_check > 2:
+        n_check -= 1
+    bad = _coefficient_mismatch(
+        lambda n: (contract_mpv(current, n), result.reassembled_coeffs(n)), n_check)
+    if bad:
+        raise NumericalDegeneracy(f"reassembled coefficients mismatch at N={bad[0]}",
+                                  gap=bad[1])
     return result
 
 
-def _verify_reassembly(result: CanonicalFormResult, blocked: MpsTensor, n_check):
-    d = blocked.phys_dim
-    if n_check is None:
-        n_check = 6
-        while d ** n_check * blocked.left_dim ** 2 > 2 ** 22 and n_check > 2:
-            n_check -= 1
-    for n in range(1, n_check + 1):
-        want = contract_mpv(blocked, n)
-        got = result.reassembled_coeffs(n)
-        scale = max(np.linalg.norm(want), 1e-12)
-        if np.linalg.norm(got - want) > 1e-7 * scale:
-            raise NumericalDegeneracy(
-                f"reassembled coefficients mismatch at N={n}",
-                gap=float(np.linalg.norm(got - want) / scale),
-            )
+def _coefficient_mismatch(coeffs, n_max, symmetric=False):
+    """(N, relative gap) at the first N in 1..n_max where coeffs(N) = (want,
+    got) has ||got - want|| > MATCH_TOL * max(||want||, SCALE_FLOOR), or None;
+    `symmetric` puts ||got|| into that max as well.  A NaN gap counts as a
+    mismatch."""
+    for n in range(1, n_max + 1):
+        want, got = coeffs(n)
+        scale = max(np.linalg.norm(want), np.linalg.norm(got) if symmetric else 0.0,
+                    _tol.SCALE_FLOOR)
+        diff = np.linalg.norm(got - want)
+        if not diff <= _tol.MATCH_TOL * scale:
+            return n, float(diff / scale)
+    return None
 
 
 @dataclass(frozen=True)
@@ -309,8 +319,7 @@ class GaugeRelation:
     phases: tuple           # leaf2 = phase * X^-1 leaf1 X
 
 
-def find_gauge_between(t1: MpsTensor, t2: MpsTensor, seed: int = 0,
-                       n_check: int = None) -> GaugeRelation:
+def find_gauge_between(t1: MpsTensor, t2: MpsTensor, seed: int = 0) -> GaugeRelation:
     """Match the canonical forms of two tensors generating the same MPV.
 
     Verifies coefficient equality first (NotEquivalent otherwise), then
@@ -318,14 +327,10 @@ def find_gauge_between(t1: MpsTensor, t2: MpsTensor, seed: int = 0,
     fingerprint, extracting the per-block similarity from the mixed
     transfer map.
     """
-    if n_check is None:
-        n_check = 4
-    for n in range(1, n_check + 1):
-        c1 = contract_mpv(t1, n)
-        c2 = contract_mpv(t2, n)
-        scale = max(np.linalg.norm(c1), np.linalg.norm(c2), 1e-12)
-        if np.linalg.norm(c1 - c2) > 1e-7 * scale:
-            raise NotEquivalent(f"MPV coefficients differ at N={n}")
+    bad = _coefficient_mismatch(lambda n: (contract_mpv(t1, n), contract_mpv(t2, n)), 4,
+                                symmetric=True)
+    if bad:
+        raise NotEquivalent(f"MPV coefficients differ at N={bad[0]}")
     cf1 = canonical_form(t1, seed=seed)
     cf2 = canonical_form(t2, seed=seed)
     copies1 = [(bi, mu, v, blk.tensor)
@@ -341,7 +346,8 @@ def find_gauge_between(t1: MpsTensor, t2: MpsTensor, seed: int = 0,
     for _, mu1, v1, rep1 in copies1:
         found = None
         for q2, (_, mu2, v2, rep2) in enumerate(copies2):
-            if taken[q2] or abs(abs(mu1) - abs(mu2)) > 1e-7 * max(abs(mu1), 1e-12):
+            if taken[q2] or abs(abs(mu1) - abs(mu2)) > \
+                    _tol.MATCH_TOL * max(abs(mu1), _tol.SCALE_FLOOR):
                 continue
             if rep1.left_dim != rep2.left_dim:
                 continue
@@ -375,8 +381,7 @@ def _pair_products(a_ent, b_ent):
     return [prods[i, j] for i in range(prods.shape[0]) for j in range(prods.shape[1])]
 
 
-def pair_decompose(p: TensorPair, seed: int = 0, tol: float = 1e-9,
-                   n_check: int = 3):
+def pair_decompose(p: TensorPair, seed: int = 0):
     """Split an alternating pair into components normal on both AB and BA.
 
     Returns (components, blocking_factor) where each component is a tuple
@@ -386,12 +391,13 @@ def pair_decompose(p: TensorPair, seed: int = 0, tol: float = 1e-9,
     rng = np.random.default_rng(seed)
     pair = p
     for round_ in range(4):
-        comps = _pair_split(pair.A.entries, pair.B.entries, rng, tol)
+        comps = _pair_split(pair.A.entries, pair.B.entries, rng)
         periodic = False
         for a_ent, b_ent in comps:
             comb = TensorPair(MpsTensor(a_ent), MpsTensor(b_ent)).combined
             rho = spectral_radius(comb)
-            if rho > 1e-12 and unit_eigenvalue_count(comb.scaled(1 / np.sqrt(rho))) > 1:
+            if rho > _tol.ZERO_FLOOR and \
+                    unit_eigenvalue_count(comb.scaled(1 / np.sqrt(rho))) > 1:
                 periodic = True
                 break
         if not periodic:
@@ -415,23 +421,27 @@ def pair_decompose(p: TensorPair, seed: int = 0, tol: float = 1e-9,
     for a_ent, b_ent in comps:
         comb = TensorPair(MpsTensor(a_ent), MpsTensor(b_ent)).combined
         rho = spectral_radius(comb)
-        if rho < 1e-12:
+        if rho < _tol.ZERO_FLOOR:
             continue
         c = rho ** 0.25
         out.append((MpsTensor(a_ent / c), MpsTensor(b_ent / c), np.sqrt(rho) + 0j))
-    _verify_pair_reassembly(pair, out, n_check)
+    bad = _coefficient_mismatch(lambda n: (
+        contract_pair_mpv(pair, n),
+        sum(mu ** n * contract_pair_mpv(TensorPair(a, b), n) for a, b, mu in out)), 3)
+    if bad:
+        raise NumericalDegeneracy(f"pair reassembly mismatch at N={bad[0]}", gap=bad[1])
     return out, blocking
 
 
-def _pair_split(a_ent, b_ent, rng, tol):
+def _pair_split(a_ent, b_ent, rng):
     """Alternate invariant-subspace splits on AB (left space of A) and BA."""
     prods = _pair_products(a_ent, b_ent)
-    if max(np.linalg.norm(m) for m in prods) < 1e-12:
+    if max(np.linalg.norm(m) for m in prods) < _tol.ZERO_FLOOR:
         return []  # all words vanish: the component contributes nothing
     for swap in (False, True):
         first, second = (b_ent, a_ent) if swap else (a_ent, b_ent)
         sub = find_invariant_subspace(
-            _pair_products(first, second) if swap else prods, rng, tol)
+            _pair_products(first, second) if swap else prods, rng)
         if sub is None:
             continue
         out = []
@@ -442,20 +452,7 @@ def _pair_split(a_ent, b_ent, rng, tol):
             first_s = np.einsum("ak,iab->ikb", basis.conj(), first)
             second_s = np.einsum("iab,bk->iak", second, basis)
             a_s, b_s = (second_s, first_s) if swap else (first_s, second_s)
-            out.extend(_pair_split(a_s, b_s, rng, tol))
+            out.extend(_pair_split(a_s, b_s, rng))
         return out
     return [(a_ent, b_ent)]
 
-
-def _verify_pair_reassembly(pair: TensorPair, comps, n_check):
-    for n in range(1, n_check + 1):
-        want = contract_pair_mpv(pair, n)
-        total = np.zeros_like(want)
-        for a, bb, mu in comps:
-            total = total + (mu ** n) * contract_pair_mpv(TensorPair(a, bb), n)
-        scale = max(np.linalg.norm(want), 1e-12)
-        if np.linalg.norm(total - want) > 1e-7 * scale:
-            raise NumericalDegeneracy(
-                f"pair reassembly mismatch at N={n}",
-                gap=float(np.linalg.norm(total - want) / scale),
-            )

@@ -10,6 +10,7 @@ import argparse
 import sys
 from operator import attrgetter
 
+from . import _tol
 from . import io
 from . import symmetry as sym
 from .constructors import Su2Construction
@@ -40,13 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bundle=True):
-        if bundle:
-            p.add_argument("--bundle", required=True, help="input bundle JSON")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON report instead of text")
+    # each command registers only the flags its handler reads
+    def bundle_and_out(p):
+        p.add_argument("--bundle", required=True, help="input bundle JSON")
         p.add_argument("--out", help="write the report/result to this path")
 
     p = sub.add_parser("verify", help="run a symmetry check on a bundle")
@@ -55,22 +52,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--samples", type=int, default=100,
                    help="sampled group elements for SU(2) bundles")
-    common(p)
+    p.add_argument("--tol", type=float, default=_tol.PASS_TOL)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true",
+                   help="emit a JSON report instead of text")
+    bundle_and_out(p)
 
     p = sub.add_parser("construct",
                        help="gauge the global symmetry of a matter bundle")
     p.add_argument("--group", required=True, help="built-in catalog name")
-    common(p)
+    bundle_and_out(p)
 
     p = sub.add_parser("canonical-form", help="canonical form of a tensor")
     p.add_argument("--tensor", default="A", choices=("A", "B"),
                    help="which bundle tensor to canonicalize")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    bundle_and_out(p)
 
     p = sub.add_parser("decompose-rep",
                        help="decompose rep matrices into catalog irreps")
     p.add_argument("--group", required=True, help="built-in catalog name")
-    common(p)
+    p.add_argument("--tol", type=float, default=_tol.DECOMPOSE_TOL_FLOOR)
+    bundle_and_out(p)
 
     p = sub.add_parser("example", help="write a built-in example bundle")
     p.add_argument("name", choices=("d10", "su2"))
@@ -120,10 +123,8 @@ def _verify_ops(cons, names, args):
         return [cons.gauss]
     if isinstance(cons, Su2Construction):
         samples = su2_samples(args.samples, seed=args.seed)
-        r_ops, th_ops, l_ops, _, _ = cons.sampled_ops(samples)
-    else:
-        th_ops, r_ops, l_ops = cons.theta_ops, cons.r_ops, cons.l_ops
-    found = {"theta": th_ops, "r": r_ops, "l": l_ops}
+        return [sym.sampled_ops(cons.generators(name), samples) for name in names]
+    found = {"theta": cons.theta_ops, "r": cons.r_ops, "l": cons.l_ops}
     return [found[name] for name in names]
 
 
@@ -170,7 +171,7 @@ def cmd_canonical_form(args) -> int:
                                 f"/tensors/{args.tensor}")
     else:
         t = io.tensor_from_dict(data, "")
-    result = canonical_form(t, seed=args.seed, tol=args.tol)
+    result = canonical_form(t, seed=args.seed)
     _emit(io.dumps(io.canonical_form_to_dict(result)), args.out)
     return 0
 
@@ -184,7 +185,7 @@ def cmd_decompose_rep(args) -> int:
     mats = io.decode_array(data["matrices"], "/matrices")
     group, catalog = builtin_catalog(args.group)
     rep = make_rep(group, mats)
-    dec = decompose_rep(rep, catalog, tol=max(args.tol, 1e-9))
+    dec = decompose_rep(rep, catalog, tol=max(args.tol, _tol.DECOMPOSE_TOL_FLOOR))
     _emit(io.dumps(io.decomposition_to_dict(dec)), args.out)
     return 0
 

@@ -24,7 +24,7 @@ from .reps import (
     clebsch_gordan,
     conjugate_rep,
     decompose_rep,
-    intertwiner_space,
+    irreps_equivalent,
     make_rep,
 )
 from .su2 import (
@@ -66,14 +66,6 @@ class GaugeConstruction:
 
 # ----------------------------------------------------------------------------
 # elementary building blocks
-
-
-def irreps_equivalent(a: Irrep, b: Irrep, tol=1e-8) -> bool:
-    if a.group != b.group or a.dim != b.dim:
-        return False
-    if not a.multiplier.close_to(b.multiplier, tol):
-        return False
-    return len(intertwiner_space(a, b, tol)) == 1
 
 
 def _elementary_entries(dl, dr, value=1.0) -> np.ndarray:
@@ -346,12 +338,17 @@ class Su2Construction:
     j_set: tuple
     alphas: tuple
 
+    def generators(self, name):
+        """The su(2) generators behind the sampled list `name`: theta, r, l
+        (physical) or x, y (virtual)."""
+        return {"theta": self.gauss.q_gens, "r": self.gauss.r_gens,
+                "l": self.gauss.l_gens, "x": self.x_gens, "y": self.y_gens}[name]
+
     def sampled_ops(self, samples):
         """(r_ops, theta_ops, l_ops, x_mats, y_mats) at parameter triples."""
         r_ops, th_ops, l_ops, x_ops, y_ops = (
-            sampled_ops(gens, samples) for gens in (
-                self.gauss.r_gens, self.gauss.q_gens, self.gauss.l_gens,
-                self.x_gens, self.y_gens))
+            sampled_ops(self.generators(name), samples)
+            for name in ("r", "theta", "l", "x", "y"))
         return (r_ops, th_ops, l_ops, [m for _, m in x_ops],
                 [m for _, m in y_ops])
 

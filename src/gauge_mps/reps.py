@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _tol
 from .errors import (
     BadMultiplier,
     GroupMismatch,
@@ -26,9 +27,7 @@ from .groups import (
     quaternion_group,
     symmetric_group_s3,
 )
-from .tensors import _conj_kron_sum
-
-DEFAULT_TOL = 1e-10
+from .tensors import _conj_kron_sum, _leading_index
 
 
 @dataclass(frozen=True)
@@ -38,25 +37,26 @@ class Multiplier:
     group: FiniteGroup
     values: np.ndarray  # (n, n) complex
 
-    def validate(self, tol=DEFAULT_TOL):
+    def validate(self, tol=_tol.REP_TOL):
+        # written as `not x <= tol` so that NaN values fail
         g = self.group
         v = self.values
         n = g.order
-        if np.abs(np.abs(v) - 1).max() > tol:
+        if not np.abs(np.abs(v) - 1).max() <= tol:
             raise BadMultiplier("multiplier values must have unit modulus")
         e = g.identity
-        if np.abs(v[e, :] - 1).max() > tol or np.abs(v[:, e] - 1).max() > tol:
+        if not (np.abs(v[e, :] - 1).max() <= tol and np.abs(v[:, e] - 1).max() <= tol):
             raise BadMultiplier("multiplier not normalized at the identity")
         t = g.mult_table
         # gamma(g,h) gamma(gh,f) == gamma(g,hf) gamma(h,f)
         lhs = v[:, :, None] * v[t[:, :, None], np.arange(n)[None, None, :]]
         rhs = v[np.arange(n)[:, None, None], t[None, :, :]] * v[None, :, :]
-        if np.abs(lhs - rhs).max() > tol:
+        if not np.abs(lhs - rhs).max() <= tol:
             raise BadMultiplier("cocycle condition violated")
         return self
 
-    def is_trivial(self, tol=DEFAULT_TOL) -> bool:
-        return np.abs(self.values - 1).max() <= tol
+    def is_trivial(self) -> bool:
+        return np.abs(self.values - 1).max() <= _tol.REP_TOL
 
     def inverse(self) -> "Multiplier":
         return Multiplier(self.group, np.conj(self.values))
@@ -66,8 +66,9 @@ class Multiplier:
             raise GroupMismatch("multipliers over different groups")
         return Multiplier(self.group, self.values * other.values)
 
-    def close_to(self, other: "Multiplier", tol=1e-8) -> bool:
-        return other.group == self.group and np.abs(self.values - other.values).max() <= tol
+    def close_to(self, other: "Multiplier") -> bool:
+        return (other.group == self.group
+                and np.abs(self.values - other.values).max() <= _tol.MULTIPLIER_TOL)
 
 
 def trivial_multiplier(group: FiniteGroup) -> Multiplier:
@@ -99,11 +100,12 @@ class Irrep(Rep):
     label: str = ""
 
 
-def check_projective_rep(matrices, group: FiniteGroup, tol=DEFAULT_TOL) -> Multiplier:
+def check_projective_rep(matrices, group: FiniteGroup, tol=_tol.REP_TOL) -> Multiplier:
     """Extract and validate the multiplier of a candidate projective rep.
 
     gamma(g,h) is read off from Tr(U(gh)^dag U(g)U(h)) / dim and the
-    residual ||U(g)U(h) - gamma U(gh)|| is required to vanish.
+    residual ||U(g)U(h) - gamma U(gh)|| is required to vanish.  Every
+    comparison is written as `not x <= tol`, so NaN matrices are rejected.
     """
     mats = np.asarray(matrices, dtype=complex)
     n = group.order
@@ -112,20 +114,20 @@ def check_projective_rep(matrices, group: FiniteGroup, tol=DEFAULT_TOL) -> Multi
     d = mats.shape[1]
     eye = np.eye(d)
     for g in range(n):
-        if np.linalg.norm(mats[g].conj().T @ mats[g] - eye) > tol * d:
+        if not np.linalg.norm(mats[g].conj().T @ mats[g] - eye) <= tol * d:
             raise NonUnitary(f"matrix for element {group.name(g)} is not unitary")
     gamma = np.empty((n, n), dtype=complex)
     for g, h, gh, prod, phase in _multiplier_phases(mats, group,
                                                     lambda u: u.conj().T):
-        if abs(abs(phase) - 1) > 1e-6 or \
-                np.linalg.norm(prod - phase / abs(phase) * mats[gh]) > tol * d:
+        if not (abs(abs(phase) - 1) <= _tol.PHASE_MODULUS_TOL and
+                np.linalg.norm(prod - phase / abs(phase) * mats[gh]) <= tol * d):
             raise NotARep(
                 f"U({group.name(g)})U({group.name(h)}) not proportional to "
                 f"U({group.name(gh)})"
             )
         gamma[g, h] = phase / abs(phase)
     mult = Multiplier(group, gamma)
-    mult.validate(tol=1e-8)
+    mult.validate(tol=_tol.MULTIPLIER_TOL)
     return mult
 
 
@@ -141,15 +143,15 @@ def _multiplier_phases(mats, group: FiniteGroup, inverse):
             yield g, h, gh, prod, np.trace(invs[gh] @ prod) / d
 
 
-def make_rep(group: FiniteGroup, matrices, tol=DEFAULT_TOL) -> Rep:
+def make_rep(group: FiniteGroup, matrices) -> Rep:
     mats = np.asarray(matrices, dtype=complex)
-    mult = check_projective_rep(mats, group, tol=tol)
+    mult = check_projective_rep(mats, group)
     return Rep(group, mats, mult)
 
 
-def make_irrep(group: FiniteGroup, matrices, label: str, tol=DEFAULT_TOL) -> Irrep:
+def make_irrep(group: FiniteGroup, matrices, label: str) -> Irrep:
     mats = np.asarray(matrices, dtype=complex)
-    mult = check_projective_rep(mats, group, tol=tol)
+    mult = check_projective_rep(mats, group)
     return Irrep(group, mats, mult, label)
 
 
@@ -171,7 +173,7 @@ def tensor_product_rep(rep1: Rep, rep2: Rep) -> Rep:
     return Rep(rep1.group, mats, rep1.multiplier.product(rep2.multiplier))
 
 
-def intertwiner_space(rep1: Rep, rep2: Rep, tol=1e-8):
+def intertwiner_space(rep1: Rep, rep2: Rep, tol=_tol.INTERTWINER_TOL):
     """Orthonormal basis of {T : rep2(g) T = T rep1(g) for all g}.
 
     Computed as the eigenvalue-1 space of the twirl projector
@@ -191,6 +193,16 @@ def intertwiner_space(rep1: Rep, rep2: Rep, tol=1e-8):
     return [evecs[:, k].reshape(rep2.dim, rep1.dim) for k in keep]
 
 
+def irreps_equivalent(a: Irrep, b: Irrep) -> bool:
+    """True iff `a` and `b` are equivalent irreps of one group: same
+    dimension, agreeing multipliers and a one-dimensional intertwiner space."""
+    if a.group != b.group or a.dim != b.dim:
+        return False
+    if not a.multiplier.close_to(b.multiplier):
+        return False
+    return len(intertwiner_space(a, b)) == 1
+
+
 @dataclass(frozen=True)
 class RepDecomposition:
     blocks: tuple          # ((label, multiplicity), ...) in catalog order
@@ -206,14 +218,7 @@ class RepDecomposition:
                 col += irr.dim
 
 
-def _copy_sort_key(t):
-    """Order multiplicity copies by the first row supporting them."""
-    flat = np.abs(t.reshape(-1))
-    nz = np.nonzero(flat > 1e-8 * flat.max())[0]
-    return int(nz[0]) if nz.size else 0
-
-
-def decompose_rep(rep: Rep, catalog, tol=1e-8) -> RepDecomposition:
+def decompose_rep(rep: Rep, catalog, tol=_tol.INTERTWINER_TOL) -> RepDecomposition:
     """Decompose `rep` into catalog irreps with a unitary basis change.
 
     For each catalog irrep the intertwiner space {T : rep(g) T = T D^j(g)}
@@ -241,7 +246,7 @@ def decompose_rep(rep: Rep, catalog, tol=1e-8) -> RepDecomposition:
         )
         w = np.linalg.inv(np.linalg.cholesky(gram)).conj().T
         maps = [sum(w[a, b] * maps[a] for a in range(m)) for b in range(m)]
-        maps.sort(key=_copy_sort_key)
+        maps.sort(key=_leading_index)  # by the first row supporting each copy
         blocks.append((irr.label, m))
         irreps.append(irr)
         for t in maps:
@@ -257,20 +262,18 @@ def decompose_rep(rep: Rep, catalog, tol=1e-8) -> RepDecomposition:
     for irr, (_, m) in zip(irreps, blocks):
         for _ in range(m):
             blk = basis[:, col:col + irr.dim]
-            flat = blk.reshape(-1)
-            nz = np.nonzero(np.abs(flat) > 1e-8 * np.abs(flat).max())[0]
-            phase = flat[nz[0]] / abs(flat[nz[0]])
-            basis[:, col:col + irr.dim] = blk / phase
+            lead = blk.reshape(-1)[_leading_index(blk)]
+            basis[:, col:col + irr.dim] = blk / (lead / abs(lead))
             col += irr.dim
     dec = RepDecomposition(tuple(blocks), basis, tuple(irreps))
-    _check_decomposition(rep, dec, tol)
+    _check_decomposition(rep, dec)
     return dec
 
 
-def _check_decomposition(rep: Rep, dec: RepDecomposition, tol):
+def _check_decomposition(rep: Rep, dec: RepDecomposition):
     u = dec.basis_change
     d = rep.dim
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-7 * d:
+    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > _tol.BASIS_UNITARITY_TOL * d:
         raise IncompleteCatalog("decomposition basis change is not unitary")
     for g in range(rep.group.order):
         rot = u.conj().T @ rep.matrices[g] @ u
@@ -280,7 +283,7 @@ def _check_decomposition(rep: Rep, dec: RepDecomposition, tol):
             for _ in range(m):
                 expect[col:col + irr.dim, col:col + irr.dim] = irr.matrices[g]
                 col += irr.dim
-        if np.linalg.norm(rot - expect) > 1e-6 * d:
+        if np.linalg.norm(rot - expect) > _tol.BLOCK_RESIDUAL_TOL * d:
             raise IncompleteCatalog(
                 f"off-block residual too large at element {rep.group.name(g)}"
             )
@@ -315,10 +318,10 @@ class CGTable:
         return [lab for lab, _ in self.decomposition.blocks]
 
 
-def clebsch_gordan(j: Irrep, l: Irrep, catalog, tol=1e-8) -> CGTable:
+def clebsch_gordan(j: Irrep, l: Irrep, catalog) -> CGTable:
     """CG table for j x l against a catalog covering multiplier class gamma*gamma'."""
     prod = tensor_product_rep(j, l)
-    dec = decompose_rep(prod, catalog, tol=tol)
+    dec = decompose_rep(prod, catalog)
     return CGTable(j, l, dec)
 
 

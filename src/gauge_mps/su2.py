@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _tol
 from .errors import BadAlgebra, BadSpinSet
-
-_HERMITIAN_TOL = 1e-10  # relative ||H - H^dag|| accepted in a group element
+from .tensors import _leading_index
 
 EPS_ABC = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
@@ -20,7 +20,7 @@ for _i, _j, _k, _s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 
 def spin_dim(j) -> int:
     d = int(round(2 * j + 1))
-    if abs(2 * j - round(2 * j)) > 1e-12 or d < 1:
+    if abs(2 * j - round(2 * j)) > _tol.SPIN_ROUNDING or d < 1:
         raise BadSpinSet(f"invalid spin {j}")
     return d
 
@@ -56,7 +56,7 @@ def element_from_generators(gens, phi) -> np.ndarray:
     h = np.einsum("...a,aij->...ij", np.asarray(phi, float), np.asarray(gens))
     h_dag = np.conj(np.swapaxes(h, -1, -2))
     skew = np.linalg.norm(h - h_dag, axis=(-2, -1))
-    if not np.all(skew <= _HERMITIAN_TOL * np.linalg.norm(h, axis=(-2, -1))):
+    if not np.all(skew <= _tol.HERMITIAN_TOL * np.linalg.norm(h, axis=(-2, -1))):
         raise BadAlgebra("generators are not Hermitian "
                          f"(||H - H^dag|| = {np.max(skew):.3e})")
     w, v = np.linalg.eigh((h + h_dag) / 2)
@@ -72,7 +72,7 @@ def su2_samples(count: int, seed: int = 0) -> np.ndarray:
     return axes * angles[:, None]
 
 
-def check_su2_commutators(gens, tol=1e-12) -> float:
+def check_su2_commutators(gens) -> float:
     """Max norm of [tau_a, tau_b] - i eps_abc tau_c."""
     gens = np.asarray(gens)
     worst = 0.0
@@ -100,7 +100,7 @@ def product_generators(gens1, gens2) -> np.ndarray:
     return out
 
 
-def coupled_basis(gens, tol=1e-9):
+def coupled_basis(gens):
     """Decompose a (possibly reducible) su(2) action into standard multiplets.
 
     Given generators `gens` = (Tx, Ty, Tz) of any finite-dimensional su(2)
@@ -126,19 +126,19 @@ def coupled_basis(gens, tol=1e-9):
     idx = 0
     while idx < d:
         m_val = evals[idx]
-        sel = np.abs(evals - m_val) < 1e-7
+        sel = np.abs(evals - m_val) < _tol.WEIGHT_MATCH
         space = evecs[:, sel]
         idx += int(sel.sum())
         # highest-weight vectors in this weight space: kernel of T+ restricted
         img = tp @ space
         u, s, vh = np.linalg.svd(img, full_matrices=True)
-        cutoff = tol * max(1.0, float(np.linalg.norm(tp)))
+        cutoff = _tol.RANK_CUTOFF * max(1.0, float(np.linalg.norm(tp)))
         ker_dim = int(np.sum(s < cutoff)) + space.shape[1] - len(s)
         if ker_dim == 0:
             continue
         kernel = space @ vh.conj().T[:, space.shape[1] - ker_dim:]
         jval = m_val
-        if abs(jval - round(2 * jval) / 2) > 1e-6:
+        if abs(jval - round(2 * jval) / 2) > _tol.WEIGHT_ROUNDING:
             raise BadSpinSet(f"weight {m_val} is not half-integral")
         jval = round(2 * jval) / 2
         dim_j = int(round(2 * jval + 1))
@@ -146,10 +146,11 @@ def coupled_basis(gens, tol=1e-9):
             v = kernel[:, c]
             # check Casimir eigenvalue
             cv = casimir @ v
-            if np.linalg.norm(cv - jval * (jval + 1) * v) > 1e-6 * max(1.0, np.linalg.norm(v)):
+            if np.linalg.norm(cv - jval * (jval + 1) * v) > \
+                    _tol.CASIMIR_TOL * max(1.0, np.linalg.norm(v)):
                 raise BadSpinSet("highest-weight vector has wrong Casimir value")
-            nz = np.nonzero(np.abs(v) > 1e-8 * np.abs(v).max())[0]
-            v = v / (v[nz[0]] / abs(v[nz[0]]))
+            lead = v[_leading_index(v)]
+            v = v / (lead / abs(lead))
             v = v / np.linalg.norm(v)
             cols = np.empty((d, dim_j), dtype=complex)
             cols[:, 0] = v

@@ -12,6 +12,8 @@ from itertools import cycle
 
 import numpy as np
 
+from . import _tol
+from ._tol import PASS_TOL
 from .errors import (
     BadAlgebra,
     DimMismatch,
@@ -25,32 +27,25 @@ from .reps import (
     _multiplier_phases,
     check_projective_rep,
     decompose_rep,
-    intertwiner_space,
+    irreps_equivalent,
 )
 from .su2 import check_su2_commutators, element_from_generators
-from .tensors import MpsTensor, TensorPair, contract_mpv, contract_pair_mpv, is_normal
+from .tensors import MpsTensor, TensorPair, _rank, contract_mpv, contract_pair_mpv, is_normal
 from .canonical import pair_decompose
-
-PASS_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------------
 # operator adapters: a "symmetry op set" is a list of (label, matrix) pairs
 
 
-def rep_ops(rep: Rep, skip_identity=False):
-    out = []
-    for g in range(rep.group.order):
-        if skip_identity and g == rep.group.identity:
-            continue
-        out.append((rep.group.name(g), rep.matrices[g]))
-    return out
+def rep_ops(rep: Rep):
+    return [(rep.group.name(g), rep.matrices[g]) for g in range(rep.group.order)]
 
 
-def sampled_ops(generators, samples, prefix="s"):
+def sampled_ops(generators, samples):
     """Exponentiated Lie-group elements at sampled parameter triples."""
     mats = element_from_generators(generators, np.reshape(samples, (len(samples), 3)))
-    return [(f"{prefix}{k}", m) for k, m in enumerate(mats)]
+    return [(f"s{k}", m) for k, m in enumerate(mats)]
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,9 @@ def _check_windows(setting, chain, n_values, op_lists, windows, tol,
     first list).  `windows(N)` yields (site, axes); ops[i] acts on axes[i],
     and a lone op acts on every axis.  The product of an element's ops must
     leave psi unchanged, ||O psi - psi|| / ||psi||; with `summed` their sum
-    must annihilate it, ||sum_j O_j psi|| / ||psi||.
+    must annihilate it, ||sum_j O_j psi|| / ||psi||.  An N whose psi_N is
+    zero (below the smallest normal float) has nothing to check and is
+    left out of the report; SymmetryError when every N is.
     """
     n_values = tuple(n_values)
     lengths = [len(ops) for ops in op_lists]
@@ -119,10 +116,13 @@ def _check_windows(setting, chain, n_values, op_lists, windows, tol,
                             f"N={list(n_values)})")
     elements = [(label, tuple(m for _, m in ops)) for (label, _), ops
                 in zip(labels or op_lists[0], zip(*op_lists))]
-    records = []
+    records, checked = [], []
     for n in n_values:
         psi = chain(n)
-        norm = max(np.linalg.norm(psi), 1e-300)
+        norm = np.linalg.norm(psi)
+        if norm < np.finfo(float).tiny:
+            continue  # e.g. psi_1 = Tr(A^i) = 0 for traceless Kraus matrices
+        checked.append(n)
         wins = list(windows(n))
         for label, ops in elements:
             # every window puts each op on the same kind of site
@@ -144,13 +144,35 @@ def _check_windows(setting, chain, n_values, op_lists, windows, tol,
                         out = _apply_site(out, op, axis)
                     out = out - psi
                 records.append((n, label, site, float(np.linalg.norm(out) / norm)))
-    return SymmetryReport(setting, n_values, tol, tuple(records))
+    if not checked:
+        raise SymmetryError(f"{setting}: psi_N vanishes for every N in "
+                            f"{list(n_values)}, nothing to check")
+    return SymmetryReport(setting, tuple(checked), tol, tuple(records))
+
+
+def _unit_order(t: MpsTensor) -> MpsTensor:
+    """t times the power of two that brings its largest |entry| into
+    [1/2, 1).  The factor is exact, so every residual relative to ||psi_N||
+    keeps its value, while psi_N can no longer overflow or underflow through
+    the scale of t.  (|entry| does not underflow where ||t|| would.)"""
+    _, exp = np.frexp(np.max(np.abs(t.entries), initial=0.0))
+    return t.scaled(np.ldexp(1.0, min(-int(exp), 1023)))
+
+
+def _mpv_chain(t: MpsTensor):
+    t = _unit_order(t)
+    return lambda n: contract_mpv(t, n)
+
+
+def _pair_chain(pair: TensorPair):
+    pair = TensorPair(_unit_order(pair.A), _unit_order(pair.B))
+    return lambda n: contract_pair_mpv(pair, n)
 
 
 def check_local_symmetry_matter(t: MpsTensor, theta_ops, n_max: int,
                                 tol: float = PASS_TOL) -> SymmetryReport:
     """Single-site action of Theta(g) at site 1 (sufficient under TI)."""
-    return _check_windows("matter-local", lambda n: contract_mpv(t, n),
+    return _check_windows("matter-local", _mpv_chain(t),
                           range(1, n_max + 1), (theta_ops,),
                           lambda n: [(0, (0,))], tol)
 
@@ -158,7 +180,7 @@ def check_local_symmetry_matter(t: MpsTensor, theta_ops, n_max: int,
 def check_global_symmetry(t: MpsTensor, theta_ops, n_max: int,
                           tol: float = PASS_TOL) -> SymmetryReport:
     """Theta(g) on every site at once."""
-    return _check_windows("matter-global", lambda n: contract_mpv(t, n),
+    return _check_windows("matter-global", _mpv_chain(t),
                           range(1, n_max + 1), (theta_ops,),
                           lambda n: [(-1, tuple(range(n)))], tol)
 
@@ -166,7 +188,7 @@ def check_global_symmetry(t: MpsTensor, theta_ops, n_max: int,
 def check_local_symmetry_gauge(t: MpsTensor, r_ops, l_ops, n_max: int,
                                tol: float = PASS_TOL) -> SymmetryReport:
     """R(g) at site K with L(g) at site K+1 (cyclic), for every K."""
-    return _check_windows("gauge-local", lambda n: contract_mpv(t, n),
+    return _check_windows("gauge-local", _mpv_chain(t),
                           range(2, n_max + 1), (r_ops, l_ops),
                           lambda n: [(k, (k, (k + 1) % n)) for k in range(n)],
                           tol)
@@ -180,8 +202,7 @@ def check_local_symmetry_matter_gauge(pair: TensorPair, r_ops, theta_ops,
     Sites are ordered (A_1, B_1, ..., A_N, B_N); the window around matter
     site K uses the B site to its left (cyclically) and to its right.
     """
-    return _check_windows("matter-gauge-local",
-                          lambda n: contract_pair_mpv(pair, n),
+    return _check_windows("matter-gauge-local", _pair_chain(pair),
                           range(1, n_max + 1), (theta_ops, r_ops, l_ops),
                           _bab_windows, tol, labels=r_ops)
 
@@ -192,7 +213,7 @@ def check_local_symmetry_matter_gauge(pair: TensorPair, r_ops, theta_ops,
 
 def verify_relation_A(t: MpsTensor, theta_ops, x_mats, y_mats):
     """Residuals of Theta(g) A = X(g)^-1 A Y(g), per element."""
-    scale = max(np.linalg.norm(t.entries), 1e-300)
+    scale = max(np.linalg.norm(t.entries), _tol.DIVISION_FLOOR)
     out = []
     for (label, th), x, y in zip(theta_ops, x_mats, y_mats):
         lhs = np.einsum("ij,jab->iab", th, t.entries)
@@ -203,7 +224,7 @@ def verify_relation_A(t: MpsTensor, theta_ops, x_mats, y_mats):
 
 def verify_relation_B(t: MpsTensor, r_ops, l_ops, x_mats, y_mats):
     """Residuals of R(g) B = B X(g) and L(g) B = Y(g)^-1 B, per element."""
-    scale = max(np.linalg.norm(t.entries), 1e-300)
+    scale = max(np.linalg.norm(t.entries), _tol.DIVISION_FLOOR)
     out = []
     for (label, r_op), (_, l_op), x, y in zip(r_ops, l_ops, x_mats, y_mats):
         lhs_r = np.einsum("ij,jab->iab", r_op, t.entries)
@@ -239,12 +260,12 @@ def projective_distance(x1, x2):
     a = x1 / np.linalg.norm(x1)
     b = x2 / np.linalg.norm(x2)
     ov = np.trace(a.conj().T @ b)
-    if abs(ov) < 1e-300:
+    if abs(ov) < _tol.DIVISION_FLOOR:
         return float(np.linalg.norm(a - b))
     return float(np.linalg.norm(a * ov / abs(ov) - b))
 
 
-def _stacked_words(pair: TensorPair, phys_ops, apply_left, max_levels=None):
+def _stacked_words(pair: TensorPair, phys_ops, apply_left):
     """Stack alternating-chain words with one physical op applied to a B site.
 
     Returns (W, Wg): for `apply_left` False the op acts on the innermost
@@ -258,12 +279,11 @@ def _stacked_words(pair: TensorPair, phys_ops, apply_left, max_levels=None):
     words_g = [rot_b[j] for j in range(d_b)]
     levels = [list(zip(words, words_g))]
     d1 = b_ent.shape[2] if not apply_left else b_ent.shape[1]
-    if max_levels is None:
-        max_levels = 2 * b_ent.shape[1] * b_ent.shape[2]
-    for _ in range(max_levels):
+    for _ in range(2 * b_ent.shape[1] * b_ent.shape[2]):
         stacked = np.vstack([w for lv in levels for (w, _) in lv]) if not apply_left \
             else np.hstack([w for lv in levels for (w, _) in lv])
-        rank = np.linalg.matrix_rank(stacked, tol=1e-10 * max(1.0, np.linalg.norm(stacked)))
+        rank = np.linalg.matrix_rank(
+            stacked, tol=_tol.WORD_RANK_CUTOFF * max(1.0, np.linalg.norm(stacked)))
         if rank == d1:
             break
         nxt = []
@@ -280,46 +300,32 @@ def _stacked_words(pair: TensorPair, phys_ops, apply_left, max_levels=None):
 
 
 def extract_virtual_rep(pair: TensorPair, r_ops, theta_ops, l_ops,
-                        group=None, tol=1e-8) -> VirtualRep:
+                        group=None) -> VirtualRep:
     """Solve for X(g), Y(g) relating physical group actions to virtual ones.
 
     X satisfies (R(g)B) = B X(g) extended over words of the chain so the
     system is full rank whenever BA is normal; Y analogously from L.  The
     transformation relations are then verified on both tensors.
     """
-    ok_ab, _ = is_normal(pair.combined, require_unit_radius=False)
-    ok_ba, _ = is_normal(pair.reversed, require_unit_radius=False)
+    ok_ab, _ = is_normal(pair.combined)
+    ok_ba, _ = is_normal(pair.reversed)
     if not (ok_ab and ok_ba):
         raise NotNormal("extraction requires AB and BA normal")
     labels = tuple(lbl for lbl, _ in r_ops)
     xs, ys = [], []
     worst = 0.0
     for (lbl, r_op), (_, th_op), (_, l_op) in zip(r_ops, theta_ops, l_ops):
-        words = _stacked_words(pair, r_op, apply_left=False)
-        w_mat = np.vstack([w for w, _ in words])
-        wg_mat = np.vstack([wg for _, wg in words])
-        x, *_ = np.linalg.lstsq(w_mat, wg_mat, rcond=None)
-        resid = np.linalg.norm(w_mat @ x - wg_mat) / max(np.linalg.norm(wg_mat), 1e-300)
-        if resid > 1e-6:
-            raise ExtractionDegenerate(
-                f"X({lbl}) word system inconsistent (residual {resid:.3e})")
-        words = _stacked_words(pair, l_op, apply_left=True)
-        w_mat = np.hstack([w for w, _ in words])
-        wg_mat = np.hstack([wg for _, wg in words])
+        x = _solve_words(_stacked_words(pair, r_op, apply_left=False), f"X({lbl})")
         # Y^-1 W = Wg  =>  W^T (Y^-1)^T = Wg^T
-        y_inv_t, *_ = np.linalg.lstsq(w_mat.T, wg_mat.T, rcond=None)
-        y_inv = y_inv_t.T
-        resid = np.linalg.norm(y_inv @ w_mat - wg_mat) / max(np.linalg.norm(wg_mat), 1e-300)
-        if resid > 1e-6:
-            raise ExtractionDegenerate(
-                f"Y({lbl}) word system inconsistent (residual {resid:.3e})")
-        y = np.linalg.inv(y_inv)
+        y_inv_t = _solve_words([(w.T, wg.T) for w, wg in
+                                _stacked_words(pair, l_op, apply_left=True)], f"Y({lbl})")
+        y = np.linalg.inv(y_inv_t.T)
         rel_a = verify_relation_A(pair.A, [(lbl, th_op)], [x], [y])[0][1]
         rel_b = verify_relation_B(pair.B, [(lbl, r_op)], [(lbl, l_op)], [x], [y])[0][1]
         worst = max(worst, rel_a, rel_b)
         xs.append(x)
         ys.append(y)
-    if worst > tol:
+    if worst > _tol.RELATION_TOL:
         raise ExtractionDegenerate(
             f"extracted virtual reps violate the relations (residual {worst:.3e})")
     x_mult = y_mult = None
@@ -327,6 +333,19 @@ def extract_virtual_rep(pair: TensorPair, r_ops, theta_ops, l_ops,
         x_mult = _extract_multiplier(group, labels, xs)
         y_mult = _extract_multiplier(group, labels, ys)
     return VirtualRep(labels, tuple(xs), tuple(ys), x_mult, y_mult, worst)
+
+
+def _solve_words(words, name):
+    """Least-squares M with W M = Wg over the stacked word pairs (W, Wg);
+    ExtractionDegenerate when the system is inconsistent."""
+    w_mat = np.vstack([w for w, _ in words])
+    wg_mat = np.vstack([wg for _, wg in words])
+    m, *_ = np.linalg.lstsq(w_mat, wg_mat, rcond=None)
+    resid = np.linalg.norm(w_mat @ m - wg_mat) / max(np.linalg.norm(wg_mat),
+                                                      _tol.DIVISION_FLOOR)
+    if resid > _tol.EXTRACTION_RESIDUAL:
+        raise ExtractionDegenerate(f"{name} word system inconsistent (residual {resid:.3e})")
+    return m
 
 
 def _extract_multiplier(group, labels, mats):
@@ -359,15 +378,14 @@ class GaugeHilbertAnalysis:
     commutator_residual: float
 
 
-def _physical_support(t: MpsTensor, tol=1e-10):
+def _physical_support(t: MpsTensor):
     mat = t.entries.reshape(t.phys_dim, -1)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, :rank]
+    return u[:, :_rank(s, _tol.SUPPORT_RANK_CUTOFF)]
 
 
-def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep, catalog,
-                          tol=1e-8) -> GaugeHilbertAnalysis:
+def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep,
+                          catalog) -> GaugeHilbertAnalysis:
     """Decompose the occupied physical space of a gauge tensor into
     sectors H_l x H_r with L acting on the left factor and R on the right.
 
@@ -384,15 +402,15 @@ def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep, catalog,
     l_res = np.einsum("ak,gab,bl->gkl", p.conj(), l_rep.matrices, p)
     # invariance of the support and commutation on it
     worst = 0.0
+    proj = p @ p.conj().T
     for g in range(n):
-        proj = p @ p.conj().T
         worst = max(worst, np.linalg.norm(r_rep.matrices[g] @ proj - proj @ r_rep.matrices[g] @ proj))
         worst = max(worst, np.linalg.norm(l_rep.matrices[g] @ proj - proj @ l_rep.matrices[g] @ proj))
     comm = 0.0
     for g in range(n):
         for h in range(n):
             comm = max(comm, np.linalg.norm(r_res[g] @ l_res[h] - l_res[h] @ r_res[g]))
-    if worst > 1e-7 or comm > 1e-7:
+    if worst > _tol.GAUGE_ACTION_TOL or comm > _tol.GAUGE_ACTION_TOL:
         raise NotDecomposable(
             f"R/L do not act cleanly on the occupied space "
             f"(support residual {worst:.3e}, commutator {comm:.3e})")
@@ -401,7 +419,7 @@ def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep, catalog,
     # the pair rep (g,h) -> L(g)R(h) restricted to the support
     pair_mats = np.einsum("gkl,hlm->ghkm", l_res, r_res).reshape(
         n * n, p.shape[1], p.shape[1])
-    pair_mult = check_projective_rep(pair_mats, gg, tol=1e-8)
+    pair_mult = check_projective_rep(pair_mats, gg, tol=_tol.COMPUTED_REP_TOL)
     pair_rep = Rep(gg, pair_mats, pair_mult)
     pair_catalog = []
     for la in catalog:
@@ -410,25 +428,16 @@ def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep, catalog,
                 n * n, la.dim * ra.dim, la.dim * ra.dim)
             mult = Multiplier(gg, np.kron(la.multiplier.values, ra.multiplier.values))
             pair_catalog.append(Irrep(gg, mats, mult, f"{la.label}*{ra.label}"))
-    dec = decompose_rep(pair_rep, pair_catalog, tol=tol)
+    dec = decompose_rep(pair_rep, pair_catalog)
     sectors = []
     for label, q, sl in dec.block_slices():
         l_label, r_label = label.split("*")
         basis = p @ dec.basis_change[:, sl]
         sectors.append(GaugeSector(l_label, r_label, basis))
-    # Kogut-Susskind: each sector's l equals the catalog irrep conjugate to r
+    # Kogut-Susskind: each sector's l is equivalent to the conjugate of its r
     by_label = {irr.label: irr for irr in catalog}
-    ks = True
-    for sec in sectors:
-        rc = conjugate_rep(by_label[sec.r_label])
-        match = None
-        for irr in catalog:
-            if irr.multiplier.close_to(rc.multiplier) and \
-                    len(intertwiner_space(rc, irr)) == 1:
-                match = irr.label
-                break
-        if match != sec.l_label:
-            ks = False
+    ks = all(irreps_equivalent(conjugate_rep(by_label[sec.r_label]), by_label[sec.l_label])
+             for sec in sectors)
     return GaugeHilbertAnalysis(tuple(sectors), p, ks, float(max(worst, comm)))
 
 
@@ -455,7 +464,7 @@ class BStructureReport:
 
 
 def analyze_b_structure(t: MpsTensor, r_rep: Rep, l_rep: Rep, x_mats, y_mats,
-                        catalog, tol=1e-8) -> BStructureReport:
+                        catalog) -> BStructureReport:
     """Classify each (physical sector, virtual block pair) of a gauge tensor.
 
     In bases where the right virtual rep X and the conjugate of the left
@@ -463,16 +472,13 @@ def analyze_b_structure(t: MpsTensor, r_rep: Rep, l_rep: Rep, x_mats, y_mats,
     either proportional to the elementary pattern |m><n| (irreps match) or
     zero (they do not).
     """
-    from .reps import Rep as _Rep
-
     group = r_rep.group
-    hilb = analyze_gauge_hilbert(t, r_rep, l_rep, catalog, tol)
-    x_rep = _Rep(group, np.array(x_mats),
-                 check_projective_rep(np.array(x_mats), group, tol=1e-8))
-    ybar = np.conj(np.array(y_mats))
-    ybar_rep = _Rep(group, ybar, check_projective_rep(ybar, group, tol=1e-8))
-    x_dec = decompose_rep(x_rep, catalog, tol)
-    y_dec = decompose_rep(ybar_rep, catalog, tol)
+    hilb = analyze_gauge_hilbert(t, r_rep, l_rep, catalog)
+    x_arr, ybar = np.array(x_mats), np.conj(np.array(y_mats))
+    x_rep = Rep(group, x_arr, check_projective_rep(x_arr, group, tol=_tol.COMPUTED_REP_TOL))
+    ybar_rep = Rep(group, ybar, check_projective_rep(ybar, group, tol=_tol.COMPUTED_REP_TOL))
+    x_dec = decompose_rep(x_rep, catalog)
+    y_dec = decompose_rep(ybar_rep, catalog)
     x_blocks = list(x_dec.block_slices())
     y_blocks = list(y_dec.block_slices())
     ux = x_dec.basis_change
@@ -495,12 +501,9 @@ def analyze_b_structure(t: MpsTensor, r_rep: Rep, l_rep: Rep, x_mats, y_mats,
                             and blk.shape[2] == dl and blk.shape[3] == dr)
                 if is_match:
                     diag = np.einsum("mnmn->", blk) / (dl * dr)
-                    pattern = np.zeros_like(blk)
-                    for m in range(dl):
-                        for nn in range(dr):
-                            pattern[m, nn, m, nn] = diag
+                    pattern = diag * np.eye(dl * dr).reshape(dl, dr, dl, dr)
                     res = float(np.linalg.norm(blk - pattern))
-                    if abs(diag) > tol:
+                    if abs(diag) > _tol.BLOCK_CONSTANT_FLOOR:
                         matched_y.add((y_lab, yq))
                         matched_x.add((x_lab, xq))
                 else:
@@ -514,27 +517,26 @@ def analyze_b_structure(t: MpsTensor, r_rep: Rep, l_rep: Rep, x_mats, y_mats,
     return BStructureReport(tuple(entries), un_y, un_x, worst)
 
 
-def analyze_matter_local_symmetry(t: MpsTensor, theta_rep: Rep, catalog,
-                                  tol=1e-9):
+def analyze_matter_local_symmetry(t: MpsTensor, theta_rep: Rep, catalog):
     """Per-irrep physical support of a matter tensor, plus the tensor-level
     residual of Theta(g) A = A.
 
     A locally symmetric matter MPV in canonical form is supported on the
     trivial sectors only; nontrivial-sector norms are reported.
     """
-    dec = decompose_rep(theta_rep, catalog, tol=1e-8)
+    dec = decompose_rep(theta_rep, catalog)
     u = dec.basis_change
     rotated = np.einsum("ia,ikl->akl", np.conj(u), t.entries)
     support = []
     for label, q, sl in dec.block_slices():
         support.append((label, q, float(np.linalg.norm(rotated[sl]))))
     worst = 0.0
-    scale = max(np.linalg.norm(t.entries), 1e-300)
+    scale = max(np.linalg.norm(t.entries), _tol.DIVISION_FLOOR)
     for g in range(theta_rep.group.order):
         lhs = np.einsum("ij,jab->iab", theta_rep.matrices[g], t.entries)
         worst = max(worst, float(np.linalg.norm(lhs - t.entries) / scale))
     trivial_only = all(
-        norm <= 1e-8 * scale
+        norm <= _tol.SECTOR_FLOOR * scale
         for (label, q, norm) in support
         if not _is_trivial_irrep(label, catalog)
     )
@@ -548,7 +550,7 @@ def analyze_matter_local_symmetry(t: MpsTensor, theta_rep: Rep, catalog,
 def _is_trivial_irrep(label, catalog):
     for irr in catalog:
         if irr.label == label:
-            return irr.dim == 1 and np.abs(irr.matrices - 1).max() < 1e-10
+            return irr.dim == 1 and np.abs(irr.matrices - 1).max() < _tol.REP_TOL
     return False
 
 
@@ -562,7 +564,7 @@ class GaussOperators:
     q_gens: np.ndarray   # matter-site charges
     l_gens: np.ndarray
 
-    def validate(self, tol=1e-12):
+    def validate(self, tol=_tol.GENERATOR_TOL):
         worst = max((check_su2_commutators(gens)
                      for gens in (self.r_gens, self.l_gens) if len(gens) == 3),
                     default=0.0)
@@ -583,7 +585,7 @@ def check_gauss_law(pair: TensorPair, ops: GaussOperators, n_max: int,
     ops.validate()
     q_ops, r_ops, l_ops = ([(f"a{a + 1}", g) for a, g in enumerate(gens)]
                            for gens in (ops.q_gens, ops.r_gens, ops.l_gens))
-    return _check_windows("gauss-law", lambda n: contract_pair_mpv(pair, n),
+    return _check_windows("gauss-law", _pair_chain(pair),
                           range(1, n_max + 1), (q_ops, r_ops, l_ops),
                           _bab_windows, tol, summed=True)
 
@@ -619,7 +621,7 @@ def check_coupling_implies_global(a_t: MpsTensor, b_t: MpsTensor, theta_ops,
     span_res = float(np.linalg.norm(mat @ coef - target) / np.sqrt(d1))
     pair = TensorPair(a_t, b_t)
     bab = check_local_symmetry_matter_gauge(pair, r_ops, theta_ops, l_ops, n_max, tol)
-    applicable = span_res <= 1e-8 and bab.passed
+    applicable = span_res <= _tol.SPAN_RESIDUAL and bab.passed
     result = {
         "applicable": applicable,
         "span_residual": span_res,

@@ -8,10 +8,10 @@ from math import gcd
 
 import numpy as np
 
+from . import _tol
 from .errors import DimMismatch, SizeLimit
 
 DEFAULT_SIZE_CAP = 2 ** 24
-RANK_CUTOFF = 1e-9  # relative singular-value cutoff for rank decisions
 
 
 def size_cap() -> int:
@@ -93,30 +93,26 @@ def _two_site(first: MpsTensor, second: MpsTensor) -> MpsTensor:
                                   first.left_dim, second.right_dim))
 
 
-def _check_size(total, cap=None):
-    cap = cap if cap is not None else size_cap()
-    if total > cap:
-        raise SizeLimit(total, cap)
-
-
-def contract_mpv(t: MpsTensor, n: int, cap=None) -> np.ndarray:
+def contract_mpv(t: MpsTensor, n: int) -> np.ndarray:
     """Coefficients Tr(A^{i1}...A^{iN}) as an array of shape (d,)*N."""
     if not t.is_square:
         raise DimMismatch("contraction needs matching bond dimensions")
-    coeffs = np.trace(block(t, n, cap).entries, axis1=1, axis2=2)
+    coeffs = np.trace(block(t, n).entries, axis1=1, axis2=2)
     return coeffs.reshape((t.phys_dim,) * n)
 
 
-def contract_pair_mpv(p: TensorPair, n_pairs: int, cap=None) -> np.ndarray:
+def contract_pair_mpv(p: TensorPair, n_pairs: int) -> np.ndarray:
     """Coefficients of the alternating chain, shape (dA, dB)*N."""
     dA, dB = p.A.phys_dim, p.B.phys_dim
-    coeffs = contract_mpv(p.combined, n_pairs, cap=cap)
+    coeffs = contract_mpv(p.combined, n_pairs)
     return coeffs.reshape((dA, dB) * n_pairs)
 
 
-def block(t: MpsTensor, b: int, cap=None) -> MpsTensor:
+def block(t: MpsTensor, b: int) -> MpsTensor:
     """b-fold blocking: matrices indexed by (i1..ib) are ordered products."""
-    _check_size(t.phys_dim ** b * t.left_dim * t.right_dim, cap)
+    cap, total = size_cap(), t.phys_dim ** b * t.left_dim * t.right_dim
+    if total > cap:
+        raise SizeLimit(total, cap)
     if b == 1:
         return t
     prod = t.entries
@@ -158,32 +154,37 @@ def spectral_radius(t: MpsTensor) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(transfer_matrix(t)))))
 
 
-def _span_rank(mats, tol=RANK_CUTOFF):
-    m = np.stack([a.reshape(-1) for a in mats])
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _rank(s, tol=_tol.RANK_CUTOFF) -> int:
+    """Number of singular values `s` (descending) above tol * s[0]."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
 
 
-def is_injective(t: MpsTensor, tol=RANK_CUTOFF) -> bool:
+def _leading_index(v) -> int:
+    """Index of the first entry of `v` (flattened) whose modulus exceeds
+    LEADING_ENTRY_CUTOFF times the largest; 0 when there is none."""
+    a = np.abs(np.ravel(v))
+    return int(np.argmax(a > _tol.LEADING_ENTRY_CUTOFF * a.max()))
+
+
+def is_injective(t: MpsTensor) -> bool:
     """True iff span{A^i} is the full matrix algebra."""
     if not t.is_square:
         raise DimMismatch("injectivity needs a square tensor")
-    return _span_rank(t.matrices(), tol) == t.left_dim ** 2
+    s = np.linalg.svd(np.stack([a.reshape(-1) for a in t.matrices()]), compute_uv=False)
+    return _rank(s) == t.left_dim ** 2
 
-def injectivity_length(t: MpsTensor, max_len: int = None, tol=RANK_CUTOFF):
-    """Smallest L with span{A^{i1}...A^{iL}} full, or None up to max_len.
 
-    The search is capped (default D^4) since a sharp general bound is not
+def injectivity_length(t: MpsTensor):
+    """Smallest L with span{A^{i1}...A^{iL}} full, or None up to D^4.
+
+    The search is capped at D^4 since a sharp general bound is not
     assumed; None means 'not injective within the cap'.
     """
     D = t.left_dim
     full = D * D
-    if max_len is None:
-        max_len = D ** 4
+    max_len = D ** 4
     # orthonormal basis of the exact-length-L span, grown one site at a time
-    basis = _orth_basis([a.reshape(-1) for a in t.matrices()], tol)
+    basis = _orth_basis([a.reshape(-1) for a in t.matrices()])
     for length in range(1, max_len + 1):
         if basis.shape[0] == full:
             return length
@@ -194,31 +195,28 @@ def injectivity_length(t: MpsTensor, max_len: int = None, tol=RANK_CUTOFF):
             m = v.reshape(D, D)
             for a in t.matrices():
                 nxt.append((m @ a).reshape(-1))
-        basis = _orth_basis(nxt, tol)
+        basis = _orth_basis(nxt)
         if basis.shape[0] == 0:
             break
     return None
 
 
-def _orth_basis(vectors, tol=RANK_CUTOFF):
-    m = np.stack(vectors)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((0, m.shape[1]), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[:rank]
+def _orth_basis(vectors, tol=_tol.RANK_CUTOFF):
+    """Orthonormal rows spanning `vectors`, with the rank cut at `tol`."""
+    _, s, vh = np.linalg.svd(np.stack(vectors), full_matrices=False)
+    return vh[:_rank(s, tol)]
 
 
-def unit_eigenvalue_count(t: MpsTensor, tol=1e-8) -> int:
+def unit_eigenvalue_count(t: MpsTensor) -> int:
     """Number of transfer eigenvalues on the circle |z| = spectral radius."""
     ev = np.linalg.eigvals(transfer_matrix(t))
     rho = np.max(np.abs(ev))
     if rho == 0:
         return 0
-    return int(np.sum(np.abs(ev) > rho * (1 - tol)))
+    return int(np.sum(np.abs(ev) > rho * (1 - _tol.UNIT_CIRCLE_MARGIN)))
 
 
-def fixed_point(t: MpsTensor, left=False, tol=1e-8) -> np.ndarray:
+def fixed_point(t: MpsTensor, left=False) -> np.ndarray:
     """Hermitian eigenmatrix of E (or its adjoint) at the spectral radius.
 
     Sign-fixed so the largest-magnitude eigenvalue is positive; for a
@@ -242,27 +240,24 @@ def fixed_point(t: MpsTensor, left=False, tol=1e-8) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def is_normal(t: MpsTensor, tol=1e-8, require_unit_radius=False):
+def is_normal(t: MpsTensor):
     """(verdict, L): primitivity of the transfer map, cross-checked by the
     span-growth injectivity length.
 
-    With `require_unit_radius` the spectral radius must itself be 1;
-    otherwise the tensor is judged after rescaling to radius 1.
+    The tensor is judged after rescaling its spectral radius to 1.
     """
     if not t.is_square:
         raise DimMismatch("normality needs a square tensor")
     rho = spectral_radius(t)
-    if rho < tol:
-        return False, None
-    if require_unit_radius and abs(rho - 1) > tol:
+    if rho < _tol.NORMAL_RADIUS_FLOOR:
         return False, None
     scaled = t.scaled(1 / np.sqrt(rho))
-    if unit_eigenvalue_count(scaled, tol) != 1:
+    if unit_eigenvalue_count(scaled) != 1:
         return False, None
     for left in (False, True):
         x = fixed_point(scaled, left=left)
         w = np.linalg.eigvalsh(x)
-        if w.min() < tol * w.max():
+        if w.min() < _tol.FIXED_POINT_CUTOFF * w.max():
             return False, None
     L = injectivity_length(t)
     if L is None:

@@ -6,10 +6,11 @@ import pytest
 from gauge_mps import io
 from gauge_mps.canonical import canonical_form
 from gauge_mps.cli import main, report_render
-from gauge_mps.constructors import build_d10_example, build_su2_example
+from gauge_mps.constructors import GaugeConstruction, build_d10_example, build_su2_example
 from gauge_mps.errors import ParseError, SchemaError
 from gauge_mps.symmetry import check_local_symmetry_matter_gauge
-from gauge_mps.tensors import MpsTensor
+from gauge_mps.groups import cyclic_group, direct_product
+from gauge_mps.tensors import MpsTensor, TensorPair
 
 
 def test_array_round_trip():
@@ -221,6 +222,12 @@ def _nan_theta_entry(doc):
     doc["ops"]["theta"][0]["matrix"][0][0][0] = float("nan")
 
 
+def _zero_a(doc):
+    # psi_N = 0 for every N: no N is left to check
+    a = io.tensor_from_dict(doc["tensors"]["A"])
+    doc["tensors"]["A"] = io.tensor_to_dict(a.scaled(0.0))
+
+
 def _non_hermitian_r_generator(doc):
     gens = io.decode_array(doc["generators"]["r"])
     gens[0, 0, -1] += 0.5
@@ -235,8 +242,9 @@ def _non_hermitian_r_generator(doc):
     ("d10", _wrong_size_r_op, "gauge-local", 2),
     ("d10", _nan_theta_entry, "bab", 2),
     ("su2", _non_hermitian_r_generator, "bab", 2),
+    ("d10", _zero_a, "bab", 3),
 ], ids=["empty-ops", "empty-n-range", "short-r-list", "short-gauss-r",
-        "wrong-size-r-op", "nan-theta-op", "non-hermitian-r"])
+        "wrong-size-r-op", "nan-theta-op", "non-hermitian-r", "vanishing-state"])
 def test_cli_verify_rejects_malformed_checks(tmp_path, capsys, example, mutate,
                                              setting, n_max):
     cons = build_d10_example() if example == "d10" else build_su2_example()
@@ -250,3 +258,67 @@ def test_cli_verify_rejects_malformed_checks(tmp_path, capsys, example, mutate,
                  "--n-max", str(n_max), "--out", str(report)]) == 2
     assert not report.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("canonical-form", "--tol"), ("canonical-form", "--json"),
+    ("construct", "--tol"), ("construct", "--seed"), ("construct", "--json"),
+    ("decompose-rep", "--seed"), ("decompose-rep", "--json"),
+])
+def test_cli_rejects_flags_its_command_does_not_read(d10_bundle, capsys, command, flag):
+    group = [] if command == "canonical-form" else ["--group", "s3"]
+    value = [] if flag == "--json" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--bundle", d10_bundle, *group, flag, *value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verdict_does_not_depend_on_tensor_scale(tmp_path):
+    # the perturbed d10 pair fails bab; scaled by 1e-200 its psi_N used to
+    # underflow to 0 and pass, scaled by 1e100 its norm overflowed to NaN
+    cons = build_d10_example()
+    rng = np.random.default_rng(7)
+    a = cons.A.entries
+    noisy = MpsTensor(a + 0.2 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)))
+    reports = {}
+    for scale in (1.0, 1e-200, 1e100):
+        doc = io.bundle_to_dict(cons)
+        doc["tensors"]["A"] = io.tensor_to_dict(noisy.scaled(scale))
+        bundle, out = tmp_path / "bundle.json", tmp_path / f"report{scale}.json"
+        io.save_json(doc, bundle)
+        assert main(["verify", "--setting", "bab", "--bundle", str(bundle),
+                     "--n-max", "3", "--json", "--out", str(out)]) == 1
+        reports[scale] = json.loads(out.read_text())
+    want = reports.pop(1.0)
+    for got in reports.values():
+        assert got["N_values"] == want["N_values"] == [1, 2, 3]
+        assert [(f["N"], f["element"], f["site"]) for f in got["failures"]] == \
+            [(f["N"], f["element"], f["site"]) for f in want["failures"]]
+        assert np.allclose([f["residual"] for f in got["failures"]],
+                           [f["residual"] for f in want["failures"]], rtol=1e-9)
+
+
+def test_cli_skips_n_where_traceless_kraus_state_vanishes(tmp_path):
+    # AKLT: A^m = Tr-less, so psi_1 = 0, while psi_N (N >= 2) is a singlet
+    # invariant under the pi rotations about x, y and z (Z2 x Z2)
+    sp = np.array([[0, 1], [0, 0]])
+    aklt = MpsTensor(np.array([np.sqrt(2 / 3) * sp, -np.sqrt(1 / 3) * np.diag([1, -1]),
+                               -np.sqrt(2 / 3) * sp.T], dtype=complex))
+    s_x = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2)
+    s_y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2)
+    s_z = np.diag([1.0, 0.0, -1.0])
+    rotations = [np.eye(3)] + [np.eye(3) - 2 * s @ s for s in (s_x, s_y, s_z)]
+    pauli = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+             np.diag([1.0, -1.0])]
+    group = direct_product(cyclic_group(2), cyclic_group(2))
+    ones = [np.eye(1)] * 4
+    names = [group.name(g) for g in range(4)]
+    cons = GaugeConstruction(TensorPair(aklt, MpsTensor(np.eye(2)[None])),
+                             tuple(zip(names, rotations)), tuple(zip(names, ones)),
+                             tuple(zip(names, ones)), tuple(pauli), tuple(pauli), group)
+    bundle, out = tmp_path / "aklt.json", tmp_path / "report.json"
+    io.save_json(io.bundle_to_dict(cons), bundle)
+    assert main(["verify", "--setting", "matter-global", "--bundle", str(bundle),
+                 "--n-max", "3", "--json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["N_values"] == [2, 3]

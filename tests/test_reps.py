@@ -5,6 +5,7 @@ from gauge_mps.errors import (
     BadMultiplier,
     IncompleteCatalog,
     MultiplierMismatch,
+    NonUnitary,
     NotARep,
 )
 from gauge_mps.groups import cyclic_group, direct_product
@@ -58,6 +59,19 @@ def test_pauli_projective_rep_of_z2xz2():
     assert not mult.is_trivial()
     # commutator phase gamma(g,h)/gamma(h,g) = -1 for the anticommuting pair
     assert np.isclose(mult.values[1, 2] / mult.values[2, 1], -1)
+
+
+def test_nan_matrices_and_multipliers_are_rejected():
+    z2 = cyclic_group(2)
+    # NaN fails the first comparison it meets, the unitarity check
+    with pytest.raises(NonUnitary):
+        check_projective_rep(np.full((2, 1, 1), np.nan), z2)
+    with pytest.raises(NonUnitary):
+        make_rep(z2, np.full((2, 1, 1), np.nan))
+    vals = np.ones((2, 2), dtype=complex)
+    vals[1, 1] = np.nan
+    with pytest.raises(BadMultiplier):
+        Multiplier(z2, vals).validate()
 
 
 def test_check_rep_rejects_non_rep():

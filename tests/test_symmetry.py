@@ -10,7 +10,7 @@ from gauge_mps.constructors import (
     wigner_eckart_a_block,
 )
 from gauge_mps.errors import BadAlgebra, NotNormal
-from gauge_mps.reps import Rep, builtin_catalog, clebsch_gordan, conjugate_rep
+from gauge_mps.reps import Rep, builtin_catalog, clebsch_gordan, conjugate_rep, make_rep
 from gauge_mps.su2 import su2_samples
 from gauge_mps.symmetry import (
     GaussOperators,
@@ -135,6 +135,20 @@ def test_gauge_hilbert_on_d10(d10, d10_catalog):
                              list(d10.y_mats), irreps)
     assert bs.max_residual < 1e-10
     assert not bs.normality_contradiction
+
+
+def test_gauged_s3_field_is_kogut_susskind():
+    # gauging X = rho1 gives one sector H_l x H_r with L = conj(rho1) x 1,
+    # and conj(rho1) is equivalent to rho1 for S3
+    group, irreps = builtin_catalog("s3")
+    by = {i.label: i for i in irreps}
+    cons = gauge_global_symmetry(MpsTensor(np.eye(2)[None]), by["rho1"].matrices,
+                                 group, irreps)
+    r_rep = make_rep(group, [m for _, m in cons.r_ops])
+    l_rep = make_rep(group, [m for _, m in cons.l_ops])
+    hil = analyze_gauge_hilbert(cons.B, r_rep, l_rep, irreps)
+    assert [(s.l_label, s.r_label) for s in hil.sectors] == [("rho1", "rho1")]
+    assert hil.kogut_susskind is True
 
 
 def test_matter_local_support_analysis(d10_catalog):
