@@ -1,7 +1,7 @@
 """Finite groups as validated multiplication tables, plus the built-in families."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,11 +161,13 @@ def quaternion_group() -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """G1 × G2 with element (a, b) indexed a*|G2| + b."""
+    """G1 × G2 with element (a, b) indexed a*|G2| + b.  A product of groups
+    is a group: identity and inverses come from the factors, unvalidated."""
     n1, n2 = g1.order, g2.order
     t1, t2 = g1.mult_table, g2.mult_table
     table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    inverse = (g1.inverse_table[:, None] * n2 + g2.inverse_table[None, :]).reshape(-1)
     names = tuple(
         f"({g1.name(a)},{g2.name(b)})" for a in range(n1) for b in range(n2)
     )
-    return validate_group(table, names)
+    return FiniteGroup(table, g1.identity * n2 + g2.identity, inverse, names)

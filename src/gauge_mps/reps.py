@@ -1,8 +1,9 @@
 """Projective unitary representations of finite groups.
 
 Multipliers, validation, conjugation and tensor products, irrep
-decomposition via twirl projectors, Clebsch-Gordan tables, and the
-built-in irrep catalogs (Z_n, dihedral, S3, Q8).
+decomposition (characters count the copies, twirl projectors embed them),
+Clebsch-Gordan tables, and the built-in irrep catalogs (Z_n, dihedral, S3,
+Q8).
 """
 from __future__ import annotations
 
@@ -112,56 +113,55 @@ def check_projective_rep(matrices, group: FiniteGroup, tol=_tol.REP_TOL) -> Mult
     if mats.shape[0] != n or mats.shape[1] != mats.shape[2]:
         raise NotARep("expected one square matrix per group element")
     d = mats.shape[1]
-    eye = np.eye(d)
-    for g in range(n):
-        if not np.linalg.norm(mats[g].conj().T @ mats[g] - eye) <= tol * d:
-            raise NonUnitary(f"matrix for element {group.name(g)} is not unitary")
+    adj = mats.conj().transpose(0, 2, 1)
+    bad = _first_failure(np.linalg.norm(adj @ mats - np.eye(d), axis=(1, 2)), tol * d)
+    if bad is not None:
+        raise NonUnitary(f"matrix for element {group.name(bad)} is not unitary")
     gamma = np.empty((n, n), dtype=complex)
-    for g, h, gh, prod, phase in _multiplier_phases(mats, group,
-                                                    lambda u: u.conj().T):
-        if not (abs(abs(phase) - 1) <= _tol.PHASE_MODULUS_TOL and
-                np.linalg.norm(prod - phase / abs(phase) * mats[gh]) <= tol * d):
+    for g, prods, phases in _multiplier_phases(mats, group, adj):
+        mod = np.abs(phases)
+        unit_mod = np.abs(mod - 1) <= _tol.PHASE_MODULUS_TOL
+        gamma[g] = phases / np.where(unit_mod, mod, 1.0)
+        resid = np.linalg.norm(prods - gamma[g, :, None, None] * mats[group.mult_table[g]],
+                               axis=(1, 2))
+        h = _first_failure(np.where(unit_mod, resid, np.inf), tol * d)
+        if h is not None:
             raise NotARep(
                 f"U({group.name(g)})U({group.name(h)}) not proportional to "
-                f"U({group.name(gh)})"
+                f"U({group.name(group.multiply(g, h))})"
             )
-        gamma[g, h] = phase / abs(phase)
-    mult = Multiplier(group, gamma)
-    mult.validate(tol=_tol.MULTIPLIER_TOL)
-    return mult
+    return Multiplier(group, gamma).validate(tol=_tol.MULTIPLIER_TOL)
 
 
-def _multiplier_phases(mats, group: FiniteGroup, inverse):
-    """Yield (g, h, gh, U(g)U(h), Tr(U(gh)^-1 U(g)U(h)) / dim) for every
-    pair of elements; `inverse` maps each U(g) to its inverse, once each."""
-    invs = [inverse(u) for u in mats]
-    d = mats[0].shape[0]
+def _first_failure(values, tol):
+    """Index of the first of `values` that is not <= tol (NaN included), or None."""
+    bad = np.flatnonzero(~(values <= tol))
+    return int(bad[0]) if bad.size else None
+
+
+def _multiplier_phases(mats, group: FiniteGroup, invs):
+    """Yield (g, U(g)U(h), Tr(U(gh)^-1 U(g)U(h)) / dim) for each g, the last
+    two stacked over h; `invs` stacks the inverse of every U(g)."""
+    d = mats.shape[1]
     for g in range(group.order):
-        for h in range(group.order):
-            gh = group.multiply(g, h)
-            prod = mats[g] @ mats[h]
-            yield g, h, gh, prod, np.trace(invs[gh] @ prod) / d
+        prods = mats[g] @ mats
+        yield g, prods, np.trace(invs[group.mult_table[g]] @ prods, axis1=1, axis2=2) / d
 
 
 def make_rep(group: FiniteGroup, matrices) -> Rep:
     mats = np.asarray(matrices, dtype=complex)
-    mult = check_projective_rep(mats, group)
-    return Rep(group, mats, mult)
+    return Rep(group, mats, check_projective_rep(mats, group))
 
 
 def make_irrep(group: FiniteGroup, matrices, label: str) -> Irrep:
     mats = np.asarray(matrices, dtype=complex)
-    mult = check_projective_rep(mats, group)
-    return Irrep(group, mats, mult, label)
+    return Irrep(group, mats, check_projective_rep(mats, group), label)
 
 
 def conjugate_rep(rep: Rep) -> Rep:
     """Entrywise complex conjugate; multiplier becomes its inverse."""
-    out = Rep(rep.group, np.conj(rep.matrices), rep.multiplier.inverse())
-    if isinstance(rep, Irrep):
-        out = Irrep(rep.group, np.conj(rep.matrices), rep.multiplier.inverse(),
-                    f"conj({rep.label})")
-    return out
+    parts = (rep.group, np.conj(rep.matrices), rep.multiplier.inverse())
+    return Irrep(*parts, f"conj({rep.label})") if isinstance(rep, Irrep) else Rep(*parts)
 
 
 def tensor_product_rep(rep1: Rep, rep2: Rep) -> Rep:
@@ -195,12 +195,20 @@ def intertwiner_space(rep1: Rep, rep2: Rep, tol=_tol.INTERTWINER_TOL):
 
 def irreps_equivalent(a: Irrep, b: Irrep) -> bool:
     """True iff `a` and `b` are equivalent irreps of one group: same
-    dimension, agreeing multipliers and a one-dimensional intertwiner space."""
+    dimension, agreeing multipliers and one intertwiner, which the
+    characters count."""
     if a.group != b.group or a.dim != b.dim:
         return False
     if not a.multiplier.close_to(b.multiplier):
         return False
-    return len(intertwiner_space(a, b)) == 1
+    return _copies(a, b.character()) == 1
+
+
+def _copies(irr: Irrep, chi) -> int:
+    """Copies of `irr` in a rep with character `chi` and the same multiplier:
+    <chi_irr, chi> / |G| by Schur orthogonality, rounded; 0 when NaN."""
+    m = np.vdot(irr.character(), chi).real / irr.group.order
+    return round(m) if m >= 0.5 else 0
 
 
 @dataclass(frozen=True)
@@ -221,51 +229,48 @@ class RepDecomposition:
 def decompose_rep(rep: Rep, catalog, tol=_tol.INTERTWINER_TOL) -> RepDecomposition:
     """Decompose `rep` into catalog irreps with a unitary basis change.
 
-    For each catalog irrep the intertwiner space {T : rep(g) T = T D^j(g)}
-    is computed; its dimension is the multiplicity, and its elements, once
-    orthonormalized in the Schur inner product, provide the isometries
+    The characters give each catalog irrep's multiplicity m.  Only irreps
+    with m > 0 are twirled: the intertwiner space {T : rep(g) T = T D^j(g)}
+    must have dimension m (IncompleteCatalog otherwise), and its elements,
+    once orthonormalized in the Schur inner product, provide the isometries
     embedding each copy.
     """
     blocks = []
     irreps = []
     columns = []
-    total = 0
+    chi = rep.character()
     for irr in catalog:
         if irr.group != rep.group:
             raise GroupMismatch("catalog irrep over a different group")
         if not irr.multiplier.close_to(rep.multiplier):
             continue
-        maps = intertwiner_space(irr, rep, tol=tol)
-        m = len(maps)
+        m = _copies(irr, chi)
         if m == 0:
             continue
+        maps = intertwiner_space(irr, rep, tol=tol)
+        if len(maps) != m:
+            raise IncompleteCatalog(
+                f"the twirl finds {len(maps)} copies of {irr.label}, "
+                f"the characters {m}")
         # Schur inner product <T,S> = Tr(T^dag S)/dim is positive definite here;
         # orthonormalize so that each isometry satisfies T^dag T = identity.
-        gram = np.array(
-            [[np.trace(a.conj().T @ b) / irr.dim for b in maps] for a in maps]
-        )
+        gram = np.array([[np.trace(a.conj().T @ b) / irr.dim for b in maps]
+                         for a in maps])
         w = np.linalg.inv(np.linalg.cholesky(gram)).conj().T
         maps = [sum(w[a, b] * maps[a] for a in range(m)) for b in range(m)]
         maps.sort(key=_leading_index)  # by the first row supporting each copy
         blocks.append((irr.label, m))
         irreps.append(irr)
+        # fix the free phase of each copy: first non-negligible entry real positive
         for t in maps:
-            columns.append(t)
-        total += m * irr.dim
+            lead = t.reshape(-1)[_leading_index(t)]
+            columns.append(t / (lead / abs(lead)))
+    total = sum(t.shape[1] for t in columns)
     if total != rep.dim:
         raise IncompleteCatalog(
             f"catalog accounts for dimension {total} of {rep.dim}"
         )
-    basis = np.hstack(columns)
-    # fix the free phase of each copy: first non-negligible entry real positive
-    col = 0
-    for irr, (_, m) in zip(irreps, blocks):
-        for _ in range(m):
-            blk = basis[:, col:col + irr.dim]
-            lead = blk.reshape(-1)[_leading_index(blk)]
-            basis[:, col:col + irr.dim] = blk / (lead / abs(lead))
-            col += irr.dim
-    dec = RepDecomposition(tuple(blocks), basis, tuple(irreps))
+    dec = RepDecomposition(tuple(blocks), np.hstack(columns), tuple(irreps))
     _check_decomposition(rep, dec)
     return dec
 
@@ -273,20 +278,18 @@ def decompose_rep(rep: Rep, catalog, tol=_tol.INTERTWINER_TOL) -> RepDecompositi
 def _check_decomposition(rep: Rep, dec: RepDecomposition):
     u = dec.basis_change
     d = rep.dim
-    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > _tol.BASIS_UNITARITY_TOL * d:
+    if not np.linalg.norm(u.conj().T @ u - np.eye(d)) <= _tol.BASIS_UNITARITY_TOL * d:
         raise IncompleteCatalog("decomposition basis change is not unitary")
-    for g in range(rep.group.order):
-        rot = u.conj().T @ rep.matrices[g] @ u
-        expect = np.zeros_like(rot)
-        col = 0
-        for (label, m), irr in zip(dec.blocks, dec.irreps):
-            for _ in range(m):
-                expect[col:col + irr.dim, col:col + irr.dim] = irr.matrices[g]
-                col += irr.dim
-        if np.linalg.norm(rot - expect) > _tol.BLOCK_RESIDUAL_TOL * d:
-            raise IncompleteCatalog(
-                f"off-block residual too large at element {rep.group.name(g)}"
-            )
+    copies = [irr for (_, m), irr in zip(dec.blocks, dec.irreps) for _ in range(m)]
+    expect = np.zeros_like(rep.matrices)
+    for (_, _, sl), irr in zip(dec.block_slices(), copies):
+        expect[:, sl, sl] = irr.matrices
+    resid = np.linalg.norm(u.conj().T @ rep.matrices @ u - expect, axis=(1, 2))
+    g = _first_failure(resid, _tol.BLOCK_RESIDUAL_TOL * d)
+    if g is not None:
+        raise IncompleteCatalog(
+            f"off-block residual too large at element {rep.group.name(g)}"
+        )
 
 
 @dataclass(frozen=True)

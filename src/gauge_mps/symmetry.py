@@ -22,10 +22,14 @@ from .errors import (
     NotNormal,
     SymmetryError,
 )
+from .groups import direct_product
 from .reps import (
+    Irrep,
+    Multiplier,
     Rep,
     _multiplier_phases,
     check_projective_rep,
+    conjugate_rep,
     decompose_rep,
     irreps_equivalent,
 )
@@ -322,10 +326,10 @@ def extract_virtual_rep(pair: TensorPair, r_ops, theta_ops, l_ops,
         y = np.linalg.inv(y_inv_t.T)
         rel_a = verify_relation_A(pair.A, [(lbl, th_op)], [x], [y])[0][1]
         rel_b = verify_relation_B(pair.B, [(lbl, r_op)], [(lbl, l_op)], [x], [y])[0][1]
-        worst = max(worst, rel_a, rel_b)
+        worst = float(np.max([worst, rel_a, rel_b]))  # NaN propagates
         xs.append(x)
         ys.append(y)
-    if worst > _tol.RELATION_TOL:
+    if not worst <= _tol.RELATION_TOL:
         raise ExtractionDegenerate(
             f"extracted virtual reps violate the relations (residual {worst:.3e})")
     x_mult = y_mult = None
@@ -343,7 +347,7 @@ def _solve_words(words, name):
     m, *_ = np.linalg.lstsq(w_mat, wg_mat, rcond=None)
     resid = np.linalg.norm(w_mat @ m - wg_mat) / max(np.linalg.norm(wg_mat),
                                                       _tol.DIVISION_FLOOR)
-    if resid > _tol.EXTRACTION_RESIDUAL:
+    if not resid <= _tol.EXTRACTION_RESIDUAL:
         raise ExtractionDegenerate(f"{name} word system inconsistent (residual {resid:.3e})")
     return m
 
@@ -354,8 +358,9 @@ def _extract_multiplier(group, labels, mats):
     if len(mats) != n:
         return None
     gamma = np.empty((n, n), dtype=complex)
-    for g, h, _, _, ov in _multiplier_phases(mats, group, np.linalg.inv):
-        gamma[g, h] = ov / abs(ov) if abs(ov) > 0 else 1.0
+    for g, _, ov in _multiplier_phases(np.asarray(mats), group, np.linalg.inv(mats)):
+        mod = np.abs(ov)
+        gamma[g] = np.where(mod > 0, ov / np.where(mod > 0, mod, 1.0), 1.0)
     return gamma
 
 
@@ -392,35 +397,33 @@ def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep,
     Flags Kogut-Susskind structure when every sector has l equivalent to
     the conjugate of r.
     """
-    from .groups import direct_product
-    from .reps import Irrep, Multiplier, conjugate_rep
-
     p = _physical_support(t)
     group = r_rep.group
     n = group.order
     r_res = np.einsum("ak,gab,bl->gkl", p.conj(), r_rep.matrices, p)
     l_res = np.einsum("ak,gab,bl->gkl", p.conj(), l_rep.matrices, p)
-    # invariance of the support and commutation on it
-    worst = 0.0
+    # invariance of the support and commutation on it; np.max keeps a NaN
     proj = p @ p.conj().T
-    for g in range(n):
-        worst = max(worst, np.linalg.norm(r_rep.matrices[g] @ proj - proj @ r_rep.matrices[g] @ proj))
-        worst = max(worst, np.linalg.norm(l_rep.matrices[g] @ proj - proj @ l_rep.matrices[g] @ proj))
-    comm = 0.0
-    for g in range(n):
-        for h in range(n):
-            comm = max(comm, np.linalg.norm(r_res[g] @ l_res[h] - l_res[h] @ r_res[g]))
-    if worst > _tol.GAUGE_ACTION_TOL or comm > _tol.GAUGE_ACTION_TOL:
+    acts = np.stack([r_rep.matrices, l_rep.matrices], axis=1)
+    worst = np.max([np.linalg.norm(m) for m in
+                    (acts @ proj - proj @ acts @ proj).reshape(-1, *proj.shape)])
+    rl = r_res[:, None] @ l_res[None, :]
+    lr = l_res[None, :] @ r_res[:, None]
+    comm = np.max([np.linalg.norm(m) for m in (rl - lr).reshape(-1, *r_res.shape[1:])])
+    if not (worst <= _tol.GAUGE_ACTION_TOL and comm <= _tol.GAUGE_ACTION_TOL):
         raise NotDecomposable(
             f"R/L do not act cleanly on the occupied space "
             f"(support residual {worst:.3e}, commutator {comm:.3e})")
 
+    # L(g)R(h) L(g')R(h') = gamma_L(g,g') gamma_R(h,h') L(gg')R(hh') once R
+    # and L commute on the support, so the pair multiplier is their product
+    l_mult = check_projective_rep(l_res, group, tol=_tol.COMPUTED_REP_TOL)
+    r_mult = check_projective_rep(r_res, group, tol=_tol.COMPUTED_REP_TOL)
     gg = direct_product(group, group)
     # the pair rep (g,h) -> L(g)R(h) restricted to the support
     pair_mats = np.einsum("gkl,hlm->ghkm", l_res, r_res).reshape(
         n * n, p.shape[1], p.shape[1])
-    pair_mult = check_projective_rep(pair_mats, gg, tol=_tol.COMPUTED_REP_TOL)
-    pair_rep = Rep(gg, pair_mats, pair_mult)
+    pair_rep = Rep(gg, pair_mats, Multiplier(gg, np.kron(l_mult.values, r_mult.values)))
     pair_catalog = []
     for la in catalog:
         for ra in catalog:
@@ -438,7 +441,7 @@ def analyze_gauge_hilbert(t: MpsTensor, r_rep: Rep, l_rep: Rep,
     by_label = {irr.label: irr for irr in catalog}
     ks = all(irreps_equivalent(conjugate_rep(by_label[sec.r_label]), by_label[sec.l_label])
              for sec in sectors)
-    return GaugeHilbertAnalysis(tuple(sectors), p, ks, float(max(worst, comm)))
+    return GaugeHilbertAnalysis(tuple(sectors), p, ks, float(np.max([worst, comm])))
 
 
 @dataclass(frozen=True)
@@ -527,31 +530,22 @@ def analyze_matter_local_symmetry(t: MpsTensor, theta_rep: Rep, catalog):
     dec = decompose_rep(theta_rep, catalog)
     u = dec.basis_change
     rotated = np.einsum("ia,ikl->akl", np.conj(u), t.entries)
-    support = []
-    for label, q, sl in dec.block_slices():
-        support.append((label, q, float(np.linalg.norm(rotated[sl]))))
+    support = [(label, q, float(np.linalg.norm(rotated[sl])))
+               for label, q, sl in dec.block_slices()]
     worst = 0.0
     scale = max(np.linalg.norm(t.entries), _tol.DIVISION_FLOOR)
     for g in range(theta_rep.group.order):
         lhs = np.einsum("ij,jab->iab", theta_rep.matrices[g], t.entries)
         worst = max(worst, float(np.linalg.norm(lhs - t.entries) / scale))
-    trivial_only = all(
-        norm <= _tol.SECTOR_FLOOR * scale
-        for (label, q, norm) in support
-        if not _is_trivial_irrep(label, catalog)
-    )
+    trivial = {irr.label for irr in dec.irreps
+               if irr.dim == 1 and np.abs(irr.matrices - 1).max() < _tol.REP_TOL}
+    trivial_only = all(norm <= _tol.SECTOR_FLOOR * scale
+                       for (label, q, norm) in support if label not in trivial)
     return {
         "support": support,
         "tensor_residual": worst,
         "trivial_sectors_only": trivial_only,
     }
-
-
-def _is_trivial_irrep(label, catalog):
-    for irr in catalog:
-        if irr.label == label:
-            return irr.dim == 1 and np.abs(irr.matrices - 1).max() < _tol.REP_TOL
-    return False
 
 
 # ----------------------------------------------------------------------------

@@ -139,13 +139,14 @@ def transfer_matrix(t: MpsTensor, other: MpsTensor = None) -> np.ndarray:
 
 
 def _conj_kron_sum(us, ws) -> np.ndarray:
-    """sum_k kron(us[k], conj(ws[k])), accumulated in order of k: the map
-    X -> sum_k U_k X W_k^dag on row-major vec(X)."""
-    out = np.zeros((us.shape[1] * ws.shape[1], us.shape[2] * ws.shape[2]),
-                   dtype=complex)
-    for u, w in zip(us, ws):
-        out += np.kron(u, np.conj(w))
-    return out
+    """sum_k kron(us[k], conj(ws[k])), added to zeros in order of k (sum over
+    axis 0 would add 1 x 1 terms pairwise): the map X -> sum_k U_k X W_k^dag
+    on row-major vec(X)."""
+    terms = us[:, :, None, :, None] * np.conj(ws)[:, None, :, None, :]
+    out = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        out += term
+    return out.reshape(us.shape[1] * ws.shape[1], -1)
 
 
 def spectral_radius(t: MpsTensor) -> float:

@@ -89,3 +89,16 @@ def test_direct_product_order_and_commuting_factors():
     assert g.order == 12
     again = validate_group(g.mult_table, g.element_names)
     assert again.identity == g.identity
+
+
+@pytest.mark.parametrize("g1,g2", [(cyclic_group(2), cyclic_group(2)),
+                                   (symmetric_group_s3(), symmetric_group_s3()),
+                                   (quaternion_group(), cyclic_group(3)),
+                                   (dihedral_group(6), dihedral_group(6))],
+                         ids=["z2xz2", "s3xs3", "q8xz3", "d12xd12"])
+def test_direct_product_reads_identity_and_inverses_off_its_factors(g1, g2):
+    g = direct_product(g1, g2)
+    again = validate_group(g.mult_table, g.element_names)
+    assert g.identity == again.identity
+    assert np.array_equal(g.inverse_table, again.inverse_table)
+    assert g.element_names == again.element_names

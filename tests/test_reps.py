@@ -10,8 +10,11 @@ from gauge_mps.errors import (
 )
 from gauge_mps.groups import cyclic_group, direct_product
 from gauge_mps.reps import (
+    Irrep,
     Multiplier,
     Rep,
+    RepDecomposition,
+    _check_decomposition,
     builtin_catalog,
     check_projective_rep,
     clebsch_gordan,
@@ -166,6 +169,81 @@ def test_decompose_incomplete_catalog_raises():
     partial = [i for i in irreps if i.label != "rho1"]
     with pytest.raises(IncompleteCatalog):
         decompose_rep(Rep(group, rho1.matrices, rho1.multiplier), partial)
+
+
+ORACLE_CATALOGS = ["z5", "d8", "s3", "q8", "d10", "d12"]
+
+
+def _twirl_counts(rep, irreps):
+    """Copies of each catalog irrep found by the twirl alone: the number of
+    eigenvalue-1 directions of every intertwiner projector."""
+    counts = {irr.label: len(intertwiner_space(irr, rep)) for irr in irreps
+              if irr.multiplier.close_to(rep.multiplier)}
+    return {label: m for label, m in counts.items() if m}
+
+
+@pytest.mark.parametrize("name", ORACLE_CATALOGS)
+def test_characters_keep_the_irreps_the_twirl_finds(name):
+    """The decomposition twirls only what the characters keep; the twirl
+    over the whole catalog is the oracle for which irreps, and how many
+    copies, that is."""
+    _, group, irreps = catalogs([name])[0]
+    for j in irreps:
+        for l in irreps:
+            prod = tensor_product_rep(conjugate_rep(j), l)
+            dec = decompose_rep(prod, irreps)
+            assert dict(dec.blocks) == _twirl_counts(prod, irreps), (j.label, l.label)
+
+
+def test_characters_count_copies_of_a_projective_irrep():
+    # Pauli (+) Pauli of Z2 x Z2, against the Pauli irrep: two copies
+    group = direct_product(cyclic_group(2), cyclic_group(2))
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.array([[1, 0], [0, -1]], dtype=complex)
+    pauli = np.array([np.eye(2), sz, sx, sx @ sz])
+    irr = Irrep(group, pauli, check_projective_rep(pauli, group), "pauli")
+    assert not irr.multiplier.is_trivial()
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    twice = np.einsum("ab,gbc,dc->gad", q, np.kron(np.eye(2), pauli), np.conj(q))
+    rep = make_rep(group, twice)
+    assert _twirl_counts(rep, [irr]) == {"pauli": 2}
+    assert decompose_rep(rep, [irr]).blocks == (("pauli", 2),)
+
+
+@pytest.mark.parametrize("name", ORACLE_CATALOGS)
+def test_decompose_without_a_present_irrep_raises(name):
+    # characters skip the missing irrep; the dimension count must catch it
+    _, group, irreps = catalogs([name])[0]
+    prod = tensor_product_rep(conjugate_rep(irreps[-1]), irreps[-1])
+    for label, _ in decompose_rep(prod, irreps).blocks:
+        partial = [irr for irr in irreps if irr.label != label]
+        with pytest.raises(IncompleteCatalog):
+            decompose_rep(prod, partial)
+
+
+def test_decompose_rejects_a_twirl_count_the_characters_contradict():
+    # a tolerance of 2 keeps every twirl eigenvalue, 0 included
+    _, group, irreps = catalogs(["d10"])[0]
+    rho1 = next(i for i in irreps if i.label == "rho1")
+    with pytest.raises(IncompleteCatalog, match="twirl finds 4 copies of rho1, "
+                                                "the characters 1"):
+        decompose_rep(Rep(group, rho1.matrices, rho1.multiplier), irreps, tol=2)
+
+
+def test_decomposition_check_rejects_nan():
+    _, group, irreps = catalogs(["d10"])[0]
+    rho1 = next(i for i in irreps if i.label == "rho1")
+    rep = Rep(group, rho1.matrices, rho1.multiplier)
+    dec = decompose_rep(rep, irreps)
+    nan_basis = RepDecomposition(dec.blocks, np.full_like(dec.basis_change, np.nan),
+                                 dec.irreps)
+    with pytest.raises(IncompleteCatalog, match="not unitary"):
+        _check_decomposition(rep, nan_basis)
+    mats = rho1.matrices.copy()
+    mats[3, 0, 0] = np.nan
+    with pytest.raises(IncompleteCatalog, match="residual too large at element r3"):
+        _check_decomposition(Rep(group, mats, rho1.multiplier), dec)
 
 
 def test_decompose_is_deterministic():

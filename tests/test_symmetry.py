@@ -9,8 +9,17 @@ from gauge_mps.constructors import (
     gauge_global_symmetry,
     wigner_eckart_a_block,
 )
-from gauge_mps.errors import BadAlgebra, NotNormal
-from gauge_mps.reps import Rep, builtin_catalog, clebsch_gordan, conjugate_rep, make_rep
+from gauge_mps.errors import BadAlgebra, ExtractionDegenerate, NotDecomposable, NotNormal
+from gauge_mps.groups import direct_product
+from gauge_mps.reps import (
+    Irrep,
+    Rep,
+    builtin_catalog,
+    check_projective_rep,
+    clebsch_gordan,
+    conjugate_rep,
+    make_rep,
+)
 from gauge_mps.su2 import su2_samples
 from gauge_mps.symmetry import (
     GaussOperators,
@@ -108,6 +117,19 @@ def test_extraction_multiplier_is_cocycle(d10):
     Multiplier(d10.group, vr.y_multiplier).validate(tol=1e-6)
 
 
+def test_extraction_rejects_a_nan_op(d10):
+    # NaN compares false either way: the word system and the relation
+    # residuals must still count it as a failure
+    r_ops = list(d10.r_ops)
+    label, m = r_ops[1]
+    m = m.copy()
+    m[0, 0] = np.nan
+    r_ops[1] = (label, m)
+    with pytest.raises(ExtractionDegenerate):
+        extract_virtual_rep(d10.pair, r_ops, d10.theta_ops, d10.l_ops,
+                            group=d10.group)
+
+
 def test_fix_virtual_phase_determinant_real():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -149,6 +171,53 @@ def test_gauged_s3_field_is_kogut_susskind():
     hil = analyze_gauge_hilbert(cons.B, r_rep, l_rep, irreps)
     assert [(s.l_label, s.r_label) for s in hil.sectors] == [("rho1", "rho1")]
     assert hil.kogut_susskind is True
+
+
+def test_gauge_hilbert_rejects_a_nan_action(d10, d10_catalog):
+    group, irreps = d10_catalog
+    by = {i.label: i for i in irreps}
+    r_mats = np.array([m for _, m in d10.r_ops])
+    r_mats[2, 0, 0] = np.nan
+    r_rep = Rep(group, r_mats, by["rho1"].multiplier)
+    l_rep = Rep(group, np.array([m for _, m in d10.l_ops]), by["rho2"].multiplier)
+    with pytest.raises(NotDecomposable, match="support residual nan"):
+        analyze_gauge_hilbert(d10.B, r_rep, l_rep, irreps)
+
+
+def test_pair_multiplier_is_the_product_of_its_factors():
+    """analyze_gauge_hilbert takes the multiplier of the G x G pair rep
+    (g, h) -> L(g)R(h) as kron(gamma_L, gamma_R); the reference reads it
+    off all 36 pair elements of the gauged S3 field."""
+    group, irreps = builtin_catalog("s3")
+    by = {i.label: i for i in irreps}
+    cons = gauge_global_symmetry(MpsTensor(np.eye(2)[None]), by["rho1"].matrices,
+                                 group, irreps)
+    # phases on each element but the identity (a coboundary) give R and L
+    # multipliers other than 1, and different ones
+    n = group.order
+    twist = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=(2, n, 1, 1)))
+    twist[:, group.identity] = 1
+    r_rep, l_rep = (make_rep(group, tw * np.array([m for _, m in ops]))
+                    for tw, ops in zip(twist, (cons.r_ops, cons.l_ops)))
+    # the catalog twisted the same way, one copy for each side
+    catalog = [Irrep(group, tw * irr.matrices,
+                     check_projective_rep(tw * irr.matrices, group), side + irr.label)
+               for tw, side in zip(twist, ("r:", "l:")) for irr in irreps]
+    hil = analyze_gauge_hilbert(cons.B, r_rep, l_rep, catalog)
+    assert [(s.l_label, s.r_label) for s in hil.sectors] == [("l:rho1", "r:rho1")]
+
+    p = hil.support
+    r_res, l_res = (np.einsum("ak,gab,bl->gkl", p.conj(), rep.matrices, p)
+                    for rep in (r_rep, l_rep))
+    gg = direct_product(group, group)
+    pair_mats = np.einsum("gkl,hlm->ghkm", l_res, r_res).reshape(
+        n * n, p.shape[1], p.shape[1])
+    direct = check_projective_rep(pair_mats, gg).values
+    factors = np.kron(check_projective_rep(l_res, group).values,
+                      check_projective_rep(r_res, group).values)
+    assert gg.order == 36
+    assert not np.allclose(direct, 1)
+    assert np.allclose(factors, direct, rtol=0, atol=1e-12)
 
 
 def test_matter_local_support_analysis(d10_catalog):
