@@ -61,6 +61,7 @@ from .su2 import (
 )
 from .symmetry import (
     GaussOperators,
+    LieOps,
     SymmetryReport,
     VirtualRep,
     analyze_b_structure,

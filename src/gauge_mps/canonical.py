@@ -213,9 +213,6 @@ class CanonicalFormResult:
     blocking_factor: int
     input_tensor: MpsTensor
 
-    def copy_weights(self):
-        return [mu for blk in self.blocks for (mu, _) in blk.copies]
-
     def reassembled_coeffs(self, n: int):
         """Sum over blocks of mu^N times the block coefficients."""
         d = self.blocks[0].tensor.phys_dim if self.blocks else self.input_tensor.phys_dim

@@ -7,6 +7,7 @@ Exit status: 0 = pass/success, 1 = a symmetry check failed, 2 = input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from operator import attrgetter
 
@@ -16,7 +17,6 @@ from . import symmetry as sym
 from .constructors import Su2Construction
 from .errors import GaugeMpsError, ParseError, SchemaError, SizeLimit
 from .reps import builtin_catalog, make_rep
-from .su2 import su2_samples
 
 # setting -> (check in `symmetry`, the bundle part it reads, the operator
 # lists it takes before n_max and tol); checks are named rather than bound
@@ -31,6 +31,15 @@ _VERIFY_CHECKS = {
 }
 SETTINGS = tuple(_VERIFY_CHECKS)
 SETTING_ALIASES = {"local": "matter-local", "global": "matter-global"}
+
+
+def _tolerance(admits, what):
+    """argparse type: a finite float that `admits` accepts, or exit 2."""
+    def parse(text):
+        if not (math.isfinite(value := float(text)) and admits(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and {what}, not {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,10 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", required=True,
                    choices=SETTINGS + tuple(SETTING_ALIASES))
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100,
-                   help="sampled group elements for SU(2) bundles")
-    p.add_argument("--tol", type=float, default=_tol.PASS_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", default=_tol.PASS_TOL, type=_tolerance(lambda v: v >= 0, ">= 0"))
+    p.add_argument("--seed", type=int, default=0, help="ignored")
     p.add_argument("--json", action="store_true",
                    help="emit a JSON report instead of text")
     bundle_and_out(p)
@@ -72,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose-rep",
                        help="decompose rep matrices into catalog irreps")
     p.add_argument("--group", required=True, help="built-in catalog name")
-    p.add_argument("--tol", type=float, default=_tol.DECOMPOSE_TOL_FLOOR)
+    p.add_argument("--tol", default=_tol.DECOMPOSE_TOL_FLOOR,
+                   type=_tolerance(lambda v: v < 1, "< 1"))
     bundle_and_out(p)
 
     p = sub.add_parser("example", help="write a built-in example bundle")
@@ -113,19 +121,16 @@ def _emit(text, out):
 # commands
 
 
-def _verify_ops(cons, names, args):
-    """The named operator lists: theta, r and l of either bundle kind
-    (sampled group elements for su2 bundles), or the Gauss generators of an
-    su2 bundle."""
-    if names == ("gauss",):
-        if not isinstance(cons, Su2Construction):
+def _verify_ops(cons, names):
+    """Lists theta, r, l (su(2) generators on an su2 bundle) or the Gauss ops."""
+    if not isinstance(cons, Su2Construction):
+        if names == ("gauss",):
             raise SchemaError("the gauss setting needs an su2 bundle")
+        return [getattr(cons, f"{name}_ops") for name in names]
+    if names == ("gauss",):
         return [cons.gauss]
-    if isinstance(cons, Su2Construction):
-        samples = su2_samples(args.samples, seed=args.seed)
-        return [sym.sampled_ops(cons.generators(name), samples) for name in names]
-    found = {"theta": cons.theta_ops, "r": cons.r_ops, "l": cons.l_ops}
-    return [found[name] for name in names]
+    cons.gauss.validate()
+    return [sym.LieOps(cons.generators(name)) for name in names]
 
 
 def cmd_verify(args) -> int:
@@ -133,7 +138,7 @@ def cmd_verify(args) -> int:
     setting = SETTING_ALIASES.get(args.setting, args.setting)
     check, part, op_names = _VERIFY_CHECKS[setting]
     report = getattr(sym, check)(attrgetter(part)(cons),
-                                 *_verify_ops(cons, op_names, args),
+                                 *_verify_ops(cons, op_names),
                                  args.n_max, args.tol)
     text = io.dumps(report.to_json_dict()) if args.json else report_render(report)
     _emit(text, args.out)

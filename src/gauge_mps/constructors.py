@@ -339,7 +339,7 @@ class Su2Construction:
     alphas: tuple
 
     def generators(self, name):
-        """The su(2) generators behind the sampled list `name`: theta, r, l
+        """The su(2) generators of the op list `name`: theta, r, l
         (physical) or x, y (virtual)."""
         return {"theta": self.gauss.q_gens, "r": self.gauss.r_gens,
                 "l": self.gauss.l_gens, "x": self.x_gens, "y": self.y_gens}[name]
@@ -349,8 +349,7 @@ class Su2Construction:
         r_ops, th_ops, l_ops, x_ops, y_ops = (
             sampled_ops(self.generators(name), samples)
             for name in ("r", "theta", "l", "x", "y"))
-        return (r_ops, th_ops, l_ops, [m for _, m in x_ops],
-                [m for _, m in y_ops])
+        return r_ops, th_ops, l_ops, [m for _, m in x_ops], [m for _, m in y_ops]
 
 
 def build_su2_example(r=0.5, l=0.5, j_set=(0.0, 1.0),

@@ -1,8 +1,9 @@
 """SU(2) spin representations: generators, sampled elements, coupling.
 
-Group elements are handled as sampled parameter triples phi with
-D^j(phi) = exp(i sum_a phi_a tau^j_a); all "for all g" checks elsewhere
-combine seeded samples with exact generator-level identities.
+Group elements are D^j(phi) = exp(i sum_a phi_a tau^j_a).  The symmetry
+checks read only generators: SU(2) is connected, so a state is invariant
+under every element exactly when they annihilate it.  Seeded samples of
+elements remain as an independent oracle.
 """
 from __future__ import annotations
 
@@ -73,15 +74,11 @@ def su2_samples(count: int, seed: int = 0) -> np.ndarray:
 
 
 def check_su2_commutators(gens) -> float:
-    """Max norm of [tau_a, tau_b] - i eps_abc tau_c."""
+    """Max norm of [tau_a, tau_b] - i eps_abc tau_c (NaN propagates)."""
     gens = np.asarray(gens)
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            comm = gens[a] @ gens[b] - gens[b] @ gens[a]
-            expect = 1j * np.einsum("c,cij->ij", EPS_ABC[a, b], gens)
-            worst = max(worst, np.linalg.norm(comm - expect))
-    return worst
+    comm = gens[:, None] @ gens[None] - gens[None] @ gens[:, None]
+    expect = 1j * np.einsum("abc,cij->abij", EPS_ABC, gens)
+    return float(np.max(np.linalg.norm(comm - expect, axis=(-2, -1))))
 
 
 def conjugate_generators(gens) -> np.ndarray:

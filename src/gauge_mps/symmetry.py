@@ -7,7 +7,7 @@ carry residual magnitudes, never bare booleans.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
@@ -50,6 +50,14 @@ def sampled_ops(generators, samples):
     """Exponentiated Lie-group elements at sampled parameter triples."""
     mats = element_from_generators(generators, np.reshape(samples, (len(samples), 3)))
     return [(f"s{k}", m) for k, m in enumerate(mats)]
+
+
+class LieOps(tuple):
+    """Lie-algebra generators labelled a1, a2, ...: a check asks that they annihilate
+    psi, which for a connected group is invariance under every element."""
+
+    def __new__(cls, generators):
+        return super().__new__(cls, ((f"a{k + 1}", g) for k, g in enumerate(generators)))
 
 
 @dataclass(frozen=True)
@@ -99,19 +107,22 @@ def _bab_windows(n):
 
 
 def _check_windows(setting, chain, n_values, op_lists, windows, tol,
-                   summed=False, labels=None) -> SymmetryReport:
+                   labels=None) -> SymmetryReport:
     """Residuals of every element's window action on psi_N = chain(N).
 
     `op_lists` holds one (label, matrix) list per window slot, in the order
     the ops are applied, and elements are named after `labels` (default the
     first list).  `windows(N)` yields (site, axes); ops[i] acts on axes[i],
     and a lone op acts on every axis.  The product of an element's ops must
-    leave psi unchanged, ||O psi - psi|| / ||psi||; with `summed` their sum
-    must annihilate it, ||sum_j O_j psi|| / ||psi||.  An N whose psi_N is
+    leave psi unchanged, ||O psi - psi|| / ||psi||; for LieOps lists their
+    sum must annihilate it, ||sum_j O_j psi|| / ||psi||.  An N whose psi_N is
     zero (below the smallest normal float) has nothing to check and is
     left out of the report; SymmetryError when every N is.
     """
     n_values = tuple(n_values)
+    summed = isinstance(op_lists[0], LieOps)
+    if any(isinstance(ops, LieOps) != summed for ops in op_lists):
+        raise SymmetryError(f"{setting}: generator and group-element lists mixed")
     lengths = [len(ops) for ops in op_lists]
     if len(set(lengths)) != 1:
         raise SymmetryError(f"{setting}: operator lists of unequal lengths {lengths}")
@@ -138,9 +149,8 @@ def _check_windows(setting, chain, n_values, op_lists, windows, tol,
             for site, axes in wins:
                 placed = zip(cycle(ops), axes)
                 if summed:
-                    (op, axis), *rest = placed
-                    out = _apply_site(psi, op, axis)
-                    for op, axis in rest:
+                    out = _apply_site(psi, *next(placed))
+                    for op, axis in placed:
                         out = out + _apply_site(psi, op, axis)
                 else:
                     out = psi
@@ -559,16 +569,13 @@ class GaussOperators:
     l_gens: np.ndarray
 
     def validate(self, tol=_tol.GENERATOR_TOL):
-        worst = max((check_su2_commutators(gens)
-                     for gens in (self.r_gens, self.l_gens) if len(gens) == 3),
-                    default=0.0)
-        for a in range(len(self.r_gens)):
-            for b in range(len(self.l_gens)):
-                comm = self.r_gens[a] @ self.l_gens[b] - self.l_gens[b] @ self.r_gens[a]
-                worst = max(worst, np.linalg.norm(comm))
-        for q in self.q_gens:
-            worst = max(worst, np.linalg.norm(q - q.conj().T))
-        if worst > tol:
+        """Worst residual of su(2) R and L, [R_a, L_b] = 0, Hermitian Q_a."""
+        r, l, q = (np.asarray(g) for g in (self.r_gens, self.l_gens, self.q_gens))
+        norms = [np.linalg.norm(r[:, None] @ l[None] - l[None] @ r[:, None], axis=(-2, -1)),
+                 np.linalg.norm(q - np.conj(np.swapaxes(q, -1, -2)), axis=(-2, -1)),
+                 [check_su2_commutators(g) for g in (r, l) if len(g) == 3]]
+        worst = float(np.max([np.max(x, initial=0.0) for x in norms]))
+        if not worst <= tol:
             raise BadAlgebra(f"generator relations violated (residual {worst:.3e})")
         return worst
 
@@ -577,11 +584,9 @@ def check_gauss_law(pair: TensorPair, ops: GaussOperators, n_max: int,
                     tol: float = PASS_TOL) -> SymmetryReport:
     """Residuals ||(R_a + Q_a + L_a around each matter site) psi|| / ||psi||."""
     ops.validate()
-    q_ops, r_ops, l_ops = ([(f"a{a + 1}", g) for a, g in enumerate(gens)]
-                           for gens in (ops.q_gens, ops.r_gens, ops.l_gens))
-    return _check_windows("gauss-law", _pair_chain(pair),
-                          range(1, n_max + 1), (q_ops, r_ops, l_ops),
-                          _bab_windows, tol, summed=True)
+    return _check_windows("gauss-law", _pair_chain(pair), range(1, n_max + 1),
+                          tuple(map(LieOps, (ops.q_gens, ops.r_gens, ops.l_gens))),
+                          _bab_windows, tol)
 
 
 # ----------------------------------------------------------------------------

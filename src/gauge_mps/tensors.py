@@ -51,10 +51,6 @@ class MpsTensor:
     def matrices(self):
         return [self.entries[i] for i in range(self.phys_dim)]
 
-    @classmethod
-    def from_matrices(cls, mats) -> "MpsTensor":
-        return cls(np.array(mats, dtype=complex))
-
     def scaled(self, c) -> "MpsTensor":
         return MpsTensor(c * self.entries)
 

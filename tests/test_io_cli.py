@@ -322,3 +322,64 @@ def test_cli_skips_n_where_traceless_kraus_state_vanishes(tmp_path):
     assert main(["verify", "--setting", "matter-global", "--bundle", str(bundle),
                  "--n-max", "3", "--json", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["N_values"] == [2, 3]
+
+
+@pytest.fixture()
+def d12_product_bundle(tmp_path):
+    from gauge_mps.reps import builtin_catalog, tensor_product_rep
+
+    _, catalog = builtin_catalog("d12")
+    by = {irr.label: irr for irr in catalog}
+    path = tmp_path / "rho1xrho2.json"
+    rep = tensor_product_rep(by["rho1"], by["rho2"])
+    io.save_json({"matrices": io.encode_array(rep.matrices)}, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,tol", [
+    ("verify", "nan"), ("verify", "-1"), ("verify", "inf"), ("verify", "-inf"),
+    ("decompose-rep", "2"), ("decompose-rep", "1"), ("decompose-rep", "nan"),
+    ("decompose-rep", "-inf"),
+])
+def test_cli_rejects_tolerances_without_meaning(d10_bundle, d12_product_bundle,
+                                                tmp_path, capsys, command, tol):
+    # verify --tol nan or -1 used to FAIL an exact symmetry and --tol inf to
+    # pass anything finite; decompose-rep --tol >= 1 counted every twirl
+    # eigenvalue and blamed the catalog
+    out = tmp_path / "out.json"
+    args = (["--setting", "bab", "--bundle", d10_bundle] if command == "verify"
+            else ["--group", "d12", "--bundle", d12_product_bundle])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, f"--tol={tol}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1e-12", "0", "-1"])
+def test_cli_decompose_rep_floors_small_tolerances(d12_product_bundle, tmp_path, tol):
+    out = tmp_path / "dec.json"
+    assert main(["decompose-rep", "--group", "d12", "--bundle", d12_product_bundle,
+                 f"--tol={tol}", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["blocks"] == \
+        [["rot-sign", 1], ["rot-ref-sign", 1], ["rho1", 1]]
+
+
+@pytest.mark.parametrize("setting", ["matter-local", "matter-global",
+                                     "gauge-local", "bab", "gauss"])
+def test_cli_su2_reports_do_not_depend_on_seed(su2_bundle, tmp_path, setting):
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"report{seed}.json"
+        code = main(["verify", "--setting", setting, "--bundle", su2_bundle,
+                     "--json", "--seed", seed, "--out", str(out)])
+        assert code == (1 if setting == "matter-local" else 0)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cli_verify_has_no_samples_flag(su2_bundle, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--setting", "bab", "--bundle", su2_bundle, "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

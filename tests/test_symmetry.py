@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -9,7 +10,13 @@ from gauge_mps.constructors import (
     gauge_global_symmetry,
     wigner_eckart_a_block,
 )
-from gauge_mps.errors import BadAlgebra, ExtractionDegenerate, NotDecomposable, NotNormal
+from gauge_mps.errors import (
+    BadAlgebra,
+    ExtractionDegenerate,
+    NotDecomposable,
+    NotNormal,
+    SymmetryError,
+)
 from gauge_mps.groups import direct_product
 from gauge_mps.reps import (
     Irrep,
@@ -20,9 +27,10 @@ from gauge_mps.reps import (
     conjugate_rep,
     make_rep,
 )
-from gauge_mps.su2 import su2_samples
+from gauge_mps.su2 import EPS_ABC, su2_samples
 from gauge_mps.symmetry import (
     GaussOperators,
+    LieOps,
     SymmetryReport,
     analyze_b_structure,
     analyze_gauge_hilbert,
@@ -38,6 +46,7 @@ from gauge_mps.symmetry import (
     fix_virtual_phase,
     projective_distance,
     rep_ops,
+    sampled_ops,
     verify_relation_A,
     verify_relation_B,
 )
@@ -248,6 +257,41 @@ def test_gauss_operator_validation():
         broken.validate()
 
 
+def _loop_gauss_residual(ops):
+    """GaussOperators.validate's residual, one matrix pair at a time."""
+    worst = 0.0
+    for gens in (ops.r_gens, ops.l_gens):
+        for a in range(3):
+            for b in range(3):
+                expect = 1j * sum(EPS_ABC[a, b, c] * gens[c] for c in range(3))
+                worst = max(worst, np.linalg.norm(gens[a] @ gens[b] - gens[b] @ gens[a]
+                                                  - expect))
+    for r in ops.r_gens:
+        for l in ops.l_gens:
+            worst = max(worst, np.linalg.norm(r @ l - l @ r))
+    for q in ops.q_gens:
+        worst = max(worst, np.linalg.norm(q - q.conj().T))
+    return worst
+
+
+@pytest.mark.parametrize("part", ["r", "q", "l"])
+def test_gauss_validation_matches_loop_reference(part):
+    # validate gates every su2 bundle the CLI checks through generators
+    gauss = build_su2_example(r=1.0, l=0.5, j_set=(0.5, 1.5)).gauss
+    rng = np.random.default_rng(3)
+    gens = {"r": gauss.r_gens, "q": gauss.q_gens, "l": gauss.l_gens}
+    for scale in (1e-9, 1e-3, 0.3):
+        noise = rng.normal(size=gens[part].shape + (2,)) @ [1, 1j]
+        ops = GaussOperators(**{f"{k}_gens": g + (scale * noise if k == part else 0)
+                                for k, g in gens.items()})
+        np.testing.assert_allclose(ops.validate(tol=np.inf), _loop_gauss_residual(ops),
+                                   rtol=1e-12)
+    gens[part] = gens[part].copy()
+    gens[part][0, 0, 0] = np.nan   # the loop's max() drops a NaN; validate may not
+    with pytest.raises(BadAlgebra):
+        GaussOperators(**{f"{k}_gens": g for k, g in gens.items()}).validate()
+
+
 def test_gauss_law_rejects_wrong_charges():
     su2 = build_su2_example()
     wrong = GaussOperators(su2.gauss.r_gens, 2 * su2.gauss.q_gens,
@@ -332,7 +376,7 @@ def _dense_residual(psi, placed, summed):
     return np.linalg.norm(out) / np.linalg.norm(vec)
 
 
-@pytest.mark.parametrize("example", ["d10", "su2"])
+@pytest.mark.parametrize("example", ["d10", "su2", "su2-generators"])
 def test_window_axes_match_dense_reference(example):
     rng = np.random.default_rng(5)
 
@@ -346,6 +390,9 @@ def test_window_axes_match_dense_reference(example):
     else:   # spin-1 matter keeps the N = 3 pair chain at 12^3 amplitudes
         cons = build_su2_example(j_set=(1.0,))
         r_ops, th_ops, l_ops, _, _ = cons.sampled_ops(su2_samples(2, seed=4))
+    if example == "su2-generators":   # every window sums the generators it places
+        r_ops, th_ops, l_ops = (LieOps(cons.generators(name))
+                                for name in ("r", "theta", "l"))
     pair = TensorPair(noisy(cons.pair.A), noisy(cons.pair.B))
     a_t, b_t = pair.A, pair.B
 
@@ -382,14 +429,72 @@ def test_window_axes_match_dense_reference(example):
                           elements(*gens), bab)
     for setting, (report, state, elems, windows) in cases.items():
         want = []
+        summed = setting == "gauss" or example == "su2-generators"
         for n in report.n_values:
             psi = state(n)
             for label, ops in elems:
                 for site, placed in windows(n, ops):
-                    want.append((n, label, site,
-                                 _dense_residual(psi, placed, setting == "gauss")))
+                    want.append((n, label, site, _dense_residual(psi, placed, summed)))
         assert [r[:3] for r in report.records] == [w[:3] for w in want], setting
         got = np.array([r[3] for r in report.records])
         ref = np.array([w[3] for w in want])
         assert (ref > 1e-3).mean() > 0.8, setting   # only identities stay 0
         np.testing.assert_allclose(got, ref, rtol=1e-10, err_msg=setting)
+
+
+def _noisy_su2():
+    cons = build_su2_example()
+    a = cons.pair.A.entries
+    noise = np.random.default_rng(11).normal(size=a.shape + (2,)) @ [1, 1j]
+    a = a + 0.2 * np.linalg.norm(a) / np.linalg.norm(noise) * noise
+    return replace(cons, pair=TensorPair(MpsTensor(a), cons.pair.B))
+
+
+SU2_ORACLE_CASES = {
+    **{f"r=l={s},J={j}": (lambda s=s, j=j: build_su2_example(r=s, l=s, j_set=(j,)))
+       for s, js in ((0.5, (0.0, 1.0)), (1.0, (0.0, 1.0, 2.0))) for j in js},
+    "noisy-A": _noisy_su2,
+}
+
+
+def _su2_reports(cons, ops):
+    """setting -> report at N <= 3, with `ops(name)` the list of theta, r or l."""
+    pair = cons.pair
+    return {
+        "matter-local": check_local_symmetry_matter(pair.A, ops("theta"), 3),
+        "matter-global": check_global_symmetry(pair.A, ops("theta"), 3),
+        "gauge-local": check_local_symmetry_gauge(pair.B, ops("r"), ops("l"), 3),
+        "bab": check_local_symmetry_matter_gauge(pair, ops("r"), ops("theta"),
+                                                 ops("l"), 3),
+    }
+
+
+def _verdicts(report):
+    return {n: all(r[3] <= report.tolerance for r in report.records if r[0] == n)
+            for n in report.n_values}
+
+
+@pytest.mark.parametrize("case", list(SU2_ORACLE_CASES))
+def test_su2_generators_agree_with_sampled_elements(case):
+    # SU(2) is connected: the generators annihilate psi exactly when every
+    # element leaves it invariant, so 100 sampled elements are an oracle
+    cons = SU2_ORACLE_CASES[case]()
+    samples = su2_samples(100, seed=0)
+    lie = _su2_reports(cons, lambda name: LieOps(cons.generators(name)))
+    sampled = _su2_reports(cons, lambda name: sampled_ops(cons.generators(name), samples))
+    for setting, report in lie.items():
+        assert _verdicts(report) == _verdicts(sampled[setting]), setting
+    assert lie["bab"].records == check_gauss_law(cons.pair, cons.gauss, 3).records
+    if case == "noisy-A":   # the noise breaks every window that touches A
+        expected = {s: s == "gauge-local" for s in lie}
+    else:   # only a singlet matter site is invariant on its own
+        expected = {s: s != "matter-local" or cons.j_set == (0.0,) for s in lie}
+    assert {s: r.passed for s, r in lie.items()} == expected
+
+
+
+def test_window_check_rejects_generators_mixed_with_elements():
+    cons = build_su2_example()
+    elements = sampled_ops(cons.generators("l"), su2_samples(3, seed=0))
+    with pytest.raises(SymmetryError, match="mixed"):
+        check_local_symmetry_gauge(cons.pair.B, LieOps(cons.generators("r")), elements, 2)
