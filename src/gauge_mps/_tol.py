@@ -18,7 +18,9 @@ NORMAL_RADIUS_FLOOR = 1e-8   # a tensor with a smaller transfer spectral radius 
 FIXED_POINT_CUTOFF = 1e-8    # a fixed point is definite when min eig > this * max eig
 
 ZERO_FLOOR = 1e-12           # a tensor, leaf or pair component below this norm or radius is zero
-SCALE_FLOOR = 1e-12          # smallest scale a relative coefficient or weight comparison uses
+SCALE_FLOOR = 1e-12          # smallest scale a relative weight comparison uses
+COEFF_FLOOR = 1e-6           # MPV coefficients at N are compared against at least this ||t||_F^N
+TRACE_ROUNDOFF = 1e-10       # a transfer-matrix trace within this of the sum of |terms| is round-off
 DIVISION_FLOOR = 1e-300      # keeps the denominator of a relative residual nonzero
 
 # agreement between two computations, and residuals of derived objects

@@ -285,22 +285,25 @@ def canonical_form(t: MpsTensor, seed: int = 0) -> CanonicalFormResult:
     while current.phys_dim ** n_check * current.left_dim ** 2 > 2 ** 22 and n_check > 2:
         n_check -= 1
     bad = _coefficient_mismatch(
-        lambda n: (contract_mpv(current, n), result.reassembled_coeffs(n)), n_check)
+        lambda n: (contract_mpv(current, n), result.reassembled_coeffs(n)), n_check,
+        np.linalg.norm(current.entries))
     if bad:
         raise NumericalDegeneracy(f"reassembled coefficients mismatch at N={bad[0]}",
                                   gap=bad[1])
     return result
 
 
-def _coefficient_mismatch(coeffs, n_max, symmetric=False):
+def _coefficient_mismatch(coeffs, n_max, norm, symmetric=False):
     """(N, relative gap) at the first N in 1..n_max where coeffs(N) = (want,
-    got) has ||got - want|| > MATCH_TOL * max(||want||, SCALE_FLOOR), or None;
-    `symmetric` puts ||got|| into that max as well.  A NaN gap counts as a
-    mismatch."""
+    got) has ||got - want|| > MATCH_TOL * max(||want||, COEFF_FLOOR norm^N),
+    or None; `norm` is the Frobenius norm of the tensor whose products the
+    coefficients trace, so the floor sits above their round-off even where
+    psi_N vanishes.  `symmetric` puts ||got|| into that max as well.  A NaN
+    gap counts as a mismatch."""
     for n in range(1, n_max + 1):
         want, got = coeffs(n)
         scale = max(np.linalg.norm(want), np.linalg.norm(got) if symmetric else 0.0,
-                    _tol.SCALE_FLOOR)
+                    _tol.COEFF_FLOOR * norm ** n)
         diff = np.linalg.norm(got - want)
         if not diff <= _tol.MATCH_TOL * scale:
             return n, float(diff / scale)
@@ -325,6 +328,7 @@ def find_gauge_between(t1: MpsTensor, t2: MpsTensor, seed: int = 0) -> GaugeRela
     transfer map.
     """
     bad = _coefficient_mismatch(lambda n: (contract_mpv(t1, n), contract_mpv(t2, n)), 4,
+                                max(np.linalg.norm(t1.entries), np.linalg.norm(t2.entries)),
                                 symmetric=True)
     if bad:
         raise NotEquivalent(f"MPV coefficients differ at N={bad[0]}")
@@ -424,7 +428,8 @@ def pair_decompose(p: TensorPair, seed: int = 0):
         out.append((MpsTensor(a_ent / c), MpsTensor(b_ent / c), np.sqrt(rho) + 0j))
     bad = _coefficient_mismatch(lambda n: (
         contract_pair_mpv(pair, n),
-        sum(mu ** n * contract_pair_mpv(TensorPair(a, b), n) for a, b, mu in out)), 3)
+        sum(mu ** n * contract_pair_mpv(TensorPair(a, b), n) for a, b, mu in out)), 3,
+        np.linalg.norm(pair.A.entries) * np.linalg.norm(pair.B.entries))
     if bad:
         raise NumericalDegeneracy(f"pair reassembly mismatch at N={bad[0]}", gap=bad[1])
     return out, blocking

@@ -1,9 +1,10 @@
 """Symmetry certification for matter / gauge / matter-gauge MPVs.
 
-Two independent layers are always kept apart: brute-force checks contract
-the state and apply physical operators site by site, while tensor-level
-checks verify the local transformation relations of the tensors.  Reports
-carry residual magnitudes, never bare booleans.
+Two independent layers are always kept apart: state-level checks apply
+physical operators to the state, contracted densely or, for local windows,
+through transfer matrices, while tensor-level checks verify the local
+transformation relations of the tensors.  Reports carry residual
+magnitudes, never bare booleans.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .errors import (
     ExtractionDegenerate,
     NotDecomposable,
     NotNormal,
+    NumericalDegeneracy,
     SymmetryError,
 )
 from .groups import direct_product
@@ -100,24 +102,155 @@ def _apply_site(psi, op, site):
     return np.moveaxis(out, 0, site)
 
 
+def _defect(psi, placed, summed):
+    """O psi - psi for the ops `placed` as (op, axis) pairs, in the order
+    they act; sum_j O_j psi when `summed`."""
+    if summed:
+        out = _apply_site(psi, *next(placed))
+        for op, axis in placed:
+            out = out + _apply_site(psi, op, axis)
+        return out
+    out = psi
+    for op, axis in placed:
+        out = _apply_site(out, op, axis)
+    return out - psi
+
+
 def _bab_windows(n):
     """Axes (A_K, B_{K-1}, B_K) of each matter site's window on the chain
     (A_1, B_1, ..., A_N, B_N); the left B site wraps around cyclically."""
-    return [(k, (2 * k, (2 * k - 1) % (2 * n), 2 * k + 1)) for k in range(n)]
+    return [(k, (2 * k, 2 * k - 1, 2 * k + 1)) for k in range(n)]
 
 
-def _check_windows(setting, chain, n_values, op_lists, windows, tol,
+def _unit_factor(a):
+    """The power of two that brings the largest |entry| of `a` into [1/2, 1)
+    (1 for a zero array).  Multiplying by it is exact."""
+    _, exp = np.frexp(np.max(np.abs(a), initial=0.0))
+    return np.ldexp(1.0, min(-int(exp), 1023))
+
+
+def _transfer(blocks):
+    """E_X = sum_s X^s (x) conj(X^s) on row-major vec, for the matrices
+    X^s = blocks[s..., :, :], as one Gram product."""
+    d1, d2 = blocks.shape[-2:]
+    m = blocks.reshape(-1, d1 * d2)
+    return (m.T @ m.conj()).reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(
+        d1 * d1, d2 * d2)
+
+
+def _trace_with(e_x, rest):
+    """Tr(E_X E_rest), and the sum of the moduli of its terms."""
+    terms = e_x * rest.T
+    return np.sum(terms).real, np.sum(np.abs(terms))
+
+
+def _contract_sites(sites, placed=()):
+    """The block W^{s_1...s_w} = T_1^{s_1} ... T_w^{s_w} of consecutive site
+    tensors, with each (op, position) of `placed` first applied, in order,
+    to the physical index of its site."""
+    sites = list(sites)
+    for op, pos in placed:
+        sites[pos] = np.tensordot(op, sites[pos], axes=1)
+    block = sites[0]
+    for t in sites[1:]:   # (..., a, b) x (s, b, c) -> (..., s, a, c)
+        block = np.moveaxis(np.tensordot(block, t, axes=([-1], [1])), -2, -3)
+    return block
+
+
+class _TransferWindows:
+    """Window residuals of psi_N = Tr(prod of N cells) from transfer matrices.
+
+    psi_N is a trace of identical cells, so every window is a translate of
+    window 0.  With W the block of window 0's sites and C its defect,
+    C = (O - 1) W or sum_j O_j W, ||(O - 1) psi_N||^2 = Tr(E_C E_rest) and
+    ||psi_N||^2 = Tr(E_W E_rest), where E_rest is the transfer matrix of
+    the sites outside the window.  E_C is built once per element; E_rest
+    grows by one cell, one product of D^2 x D^2 matrices, per N and is
+    kept at unit order by exact powers of two, which cancel in the ratio.
+    """
+
+    def __init__(self, cell, axes, elements, summed):
+        lo, c = min(axes), len(cell)
+        sites = [cell[(lo + j) % c].entries for j in range(max(axes) - lo + 1)]
+        slots = [a - lo for a in axes]
+        block = _contract_sites(sites)
+        self.e_window = _transfer(block)
+        self.e_defects = []
+        for _, ops in elements:
+            if summed:
+                defect = _contract_sites(sites, [(ops[0], slots[0])])
+                for op, pos in zip(ops[1:], slots[1:]):
+                    defect = defect + _contract_sites(sites, [(op, pos)])
+            else:
+                defect = _contract_sites(sites, zip(ops, slots)) - block
+            self.e_defects.append(_transfer(defect))
+        # the rest of psi_N runs from the site after the window round to the
+        # one before it: a head of h sites completes the window's last cell,
+        # then whole cells (sites lo, ..., lo + c - 1), one more for each N
+        site_e = [_transfer(t.entries) for t in cell]
+        w, h = len(sites), -len(sites) % c
+        self.rest = np.eye(self.e_window.shape[1], dtype=complex)
+        for j in range(h):
+            self.rest = self.rest @ site_e[(lo + w + j) % c]
+        self.e_cell = site_e[lo % c]
+        for j in range(1, c):
+            self.e_cell = self.e_cell @ site_e[(lo + j) % c]
+        # window and head span window_cells cells, and the rest n_rest more
+        self.window_cells, self.n_rest = (w + h) // c, 0
+
+    def residuals(self, n, setting):
+        """One residual per element at N = n, or None when psi_N vanishes."""
+        while self.n_rest < n - self.window_cells:
+            self.rest = self.rest @ self.e_cell
+            self.rest *= _unit_factor(self.rest)
+            self.n_rest += 1
+        rest = self.rest
+        den, den_terms = _trace_with(self.e_window, rest)
+        if not den > _tol.TRACE_ROUNDOFF * den_terms:
+            return None
+        out = []
+        for e_c in self.e_defects:
+            num, num_terms = _trace_with(e_c, rest)
+            if num < -_tol.TRACE_ROUNDOFF * num_terms:
+                raise NumericalDegeneracy(
+                    f"{setting}: negative defect norm at N={n}", gap=-num / num_terms)
+            # np.maximum keeps a NaN, which then fails the check
+            out.append(float(np.sqrt(np.maximum(num, 0.0) / den)))
+        return out
+
+
+def _dense_state(cell, n):
+    if len(cell) == 1:
+        return contract_mpv(cell[0], n)
+    return contract_pair_mpv(TensorPair(*cell), n)
+
+
+def _uses_dense_state(n, axes, op_lists):
+    """matter-global puts one op on every site, and at N = 1 the B-A-B
+    window wraps onto one B site: neither is a local window of psi_N."""
+    return n == 1 or len(axes) != len(op_lists)
+
+
+def _check_windows(setting, cell, n_values, op_lists, windows, tol,
                    labels=None) -> SymmetryReport:
-    """Residuals of every element's window action on psi_N = chain(N).
+    """Residuals of every element's window action on psi_N, the trace of N
+    cells of the site tensors `cell` (one MPV tensor, or A and B).
 
     `op_lists` holds one (label, matrix) list per window slot, in the order
     the ops are applied, and elements are named after `labels` (default the
-    first list).  `windows(N)` yields (site, axes); ops[i] acts on axes[i],
-    and a lone op acts on every axis.  The product of an element's ops must
-    leave psi unchanged, ||O psi - psi|| / ||psi||; for LieOps lists their
-    sum must annihilate it, ||sum_j O_j psi|| / ||psi||.  An N whose psi_N is
-    zero (below the smallest normal float) has nothing to check and is
-    left out of the report; SymmetryError when every N is.
+    first list).  `windows(N)` yields (site, axes) with axes counted along
+    the chain of N cells, modulo its length; ops[i] acts on axes[i], and a
+    lone op acts on every axis.  The product of an element's ops must leave
+    psi unchanged, ||O psi - psi|| / ||psi||; for LieOps lists their sum
+    must annihilate it, ||sum_j O_j psi|| / ||psi||.
+
+    A local window with N >= 2 takes the transfer route
+    (`_TransferWindows`): one residual per (N, element), listed for every
+    site.  matter-global and N = 1 contract the dense psi_N, whose size
+    `GAUGE_MPS_SIZE_LIMIT` caps.  A and B are first scaled by exact powers
+    of two, so residuals do not depend on their scale.  An N whose psi_N
+    is zero has nothing to check and is left out of the report;
+    SymmetryError when every N is.
     """
     n_values = tuple(n_values)
     summed = isinstance(op_lists[0], LieOps)
@@ -131,62 +264,49 @@ def _check_windows(setting, chain, n_values, op_lists, windows, tol,
                             f"N={list(n_values)})")
     elements = [(label, tuple(m for _, m in ops)) for (label, _), ops
                 in zip(labels or op_lists[0], zip(*op_lists))]
+    cell = tuple(t.scaled(_unit_factor(t.entries)) for t in cell)
+    transfer = None
     records, checked = [], []
     for n in n_values:
-        psi = chain(n)
-        norm = np.linalg.norm(psi)
-        if norm < np.finfo(float).tiny:
-            continue  # e.g. psi_1 = Tr(A^i) = 0 for traceless Kraus matrices
-        checked.append(n)
         wins = list(windows(n))
+        axes = wins[0][1]
+        # every window puts each op on the same kind of site
         for label, ops in elements:
-            # every window puts each op on the same kind of site
-            for op, axis in zip(cycle(ops), wins[0][1]):
-                if np.shape(op) != (psi.shape[axis],) * 2:
+            for op, axis in zip(cycle(ops), axes):
+                dim = cell[axis % len(cell)].phys_dim
+                if np.shape(op) != (dim, dim):
                     raise DimMismatch(
                         f"{setting}: operator {label} has shape {np.shape(op)}, "
-                        f"its site has dimension {psi.shape[axis]}")
-            for site, axes in wins:
-                placed = zip(cycle(ops), axes)
-                if summed:
-                    out = _apply_site(psi, *next(placed))
-                    for op, axis in placed:
-                        out = out + _apply_site(psi, op, axis)
-                else:
-                    out = psi
-                    for op, axis in placed:
-                        out = _apply_site(out, op, axis)
-                    out = out - psi
-                records.append((n, label, site, float(np.linalg.norm(out) / norm)))
+                        f"its site has dimension {dim}")
+        if _uses_dense_state(n, axes, op_lists):
+            psi = _dense_state(cell, n)
+            norm = np.linalg.norm(psi)
+            if norm < np.finfo(float).tiny:
+                continue  # e.g. psi_1 = Tr(A^i) = 0 for traceless Kraus matrices
+            size = psi.ndim
+            rows = [[float(np.linalg.norm(_defect(
+                psi, zip(cycle(ops), (a % size for a in win)), summed)) / norm)
+                for _, win in wins] for _, ops in elements]
+        else:
+            if transfer is None:
+                transfer = _TransferWindows(cell, axes, elements, summed)
+            res = transfer.residuals(n, setting)
+            if res is None:
+                continue
+            rows = [[r] * len(wins) for r in res]
+        checked.append(n)
+        records += [(n, label, site, r) for (label, _), row in zip(elements, rows)
+                    for (site, _), r in zip(wins, row)]
     if not checked:
         raise SymmetryError(f"{setting}: psi_N vanishes for every N in "
                             f"{list(n_values)}, nothing to check")
     return SymmetryReport(setting, tuple(checked), tol, tuple(records))
 
 
-def _unit_order(t: MpsTensor) -> MpsTensor:
-    """t times the power of two that brings its largest |entry| into
-    [1/2, 1).  The factor is exact, so every residual relative to ||psi_N||
-    keeps its value, while psi_N can no longer overflow or underflow through
-    the scale of t.  (|entry| does not underflow where ||t|| would.)"""
-    _, exp = np.frexp(np.max(np.abs(t.entries), initial=0.0))
-    return t.scaled(np.ldexp(1.0, min(-int(exp), 1023)))
-
-
-def _mpv_chain(t: MpsTensor):
-    t = _unit_order(t)
-    return lambda n: contract_mpv(t, n)
-
-
-def _pair_chain(pair: TensorPair):
-    pair = TensorPair(_unit_order(pair.A), _unit_order(pair.B))
-    return lambda n: contract_pair_mpv(pair, n)
-
-
 def check_local_symmetry_matter(t: MpsTensor, theta_ops, n_max: int,
                                 tol: float = PASS_TOL) -> SymmetryReport:
     """Single-site action of Theta(g) at site 1 (sufficient under TI)."""
-    return _check_windows("matter-local", _mpv_chain(t),
+    return _check_windows("matter-local", (t,),
                           range(1, n_max + 1), (theta_ops,),
                           lambda n: [(0, (0,))], tol)
 
@@ -194,7 +314,7 @@ def check_local_symmetry_matter(t: MpsTensor, theta_ops, n_max: int,
 def check_global_symmetry(t: MpsTensor, theta_ops, n_max: int,
                           tol: float = PASS_TOL) -> SymmetryReport:
     """Theta(g) on every site at once."""
-    return _check_windows("matter-global", _mpv_chain(t),
+    return _check_windows("matter-global", (t,),
                           range(1, n_max + 1), (theta_ops,),
                           lambda n: [(-1, tuple(range(n)))], tol)
 
@@ -202,9 +322,9 @@ def check_global_symmetry(t: MpsTensor, theta_ops, n_max: int,
 def check_local_symmetry_gauge(t: MpsTensor, r_ops, l_ops, n_max: int,
                                tol: float = PASS_TOL) -> SymmetryReport:
     """R(g) at site K with L(g) at site K+1 (cyclic), for every K."""
-    return _check_windows("gauge-local", _mpv_chain(t),
+    return _check_windows("gauge-local", (t,),
                           range(2, n_max + 1), (r_ops, l_ops),
-                          lambda n: [(k, (k, (k + 1) % n)) for k in range(n)],
+                          lambda n: [(k, (k, k + 1)) for k in range(n)],
                           tol)
 
 
@@ -216,7 +336,7 @@ def check_local_symmetry_matter_gauge(pair: TensorPair, r_ops, theta_ops,
     Sites are ordered (A_1, B_1, ..., A_N, B_N); the window around matter
     site K uses the B site to its left (cyclically) and to its right.
     """
-    return _check_windows("matter-gauge-local", _pair_chain(pair),
+    return _check_windows("matter-gauge-local", (pair.A, pair.B),
                           range(1, n_max + 1), (theta_ops, r_ops, l_ops),
                           _bab_windows, tol, labels=r_ops)
 
@@ -584,7 +704,7 @@ def check_gauss_law(pair: TensorPair, ops: GaussOperators, n_max: int,
                     tol: float = PASS_TOL) -> SymmetryReport:
     """Residuals ||(R_a + Q_a + L_a around each matter site) psi|| / ||psi||."""
     ops.validate()
-    return _check_windows("gauss-law", _pair_chain(pair), range(1, n_max + 1),
+    return _check_windows("gauss-law", (pair.A, pair.B), range(1, n_max + 1),
                           tuple(map(LieOps, (ops.q_gens, ops.r_gens, ops.l_gens))),
                           _bab_windows, tol)
 

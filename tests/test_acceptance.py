@@ -326,10 +326,12 @@ def test_criterion_08_su2_gauss_law():
     verdict(8, "su2 gauss law", ok)
 
 
-def test_criterion_09_oracle_equivalence():
-    """Tensor-level relation verdicts vs brute-force contraction verdicts
-    on 20 constructions (half valid, half deliberately perturbed)."""
-    ok = True
+def criterion_9_cases():
+    """The 20 constructions of criterion 9 as (construction, perturbed):
+    five gaugings with a noisy copy of each, and the d10 example, five
+    times clean and four times with noise on A."""
+    from gauge_mps.constructors import GaugeConstruction
+
     cases = []
     for seed, (name, labs) in enumerate(GAUGING_CONFIGS[:5]):
         group, irreps, a_t, theta_ops, x_mats = random_global_symmetric(
@@ -340,13 +342,11 @@ def test_criterion_09_oracle_equivalence():
         rng = np.random.default_rng(500 + seed)
         noisy = MpsTensor(cons.A.entries
                           + 0.2 * rng.normal(size=cons.A.entries.shape))
-        from gauge_mps.constructors import GaugeConstruction
         cases.append((GaugeConstruction(
             TensorPair(noisy, cons.B), cons.theta_ops, cons.r_ops,
             cons.l_ops, cons.x_mats, cons.y_mats, group), True))
     d10 = build_d10_example()
     cases.append((d10, False))
-    su2 = build_su2_example()
     for k in range(9):
         rng = np.random.default_rng(700 + k)
         if k % 2 == 0:
@@ -354,10 +354,17 @@ def test_criterion_09_oracle_equivalence():
         else:
             noisy = MpsTensor(d10.A.entries
                               + 0.3 * rng.normal(size=d10.A.entries.shape))
-            from gauge_mps.constructors import GaugeConstruction
             cases.append((GaugeConstruction(
                 TensorPair(noisy, d10.B), d10.theta_ops, d10.r_ops,
                 d10.l_ops, d10.x_mats, d10.y_mats, d10.group), True))
+    return cases
+
+
+def test_criterion_09_oracle_equivalence():
+    """Tensor-level relation verdicts vs brute-force contraction verdicts
+    on 20 constructions (half valid, half deliberately perturbed)."""
+    ok = True
+    cases = criterion_9_cases()
     assert len(cases) == 20
     for cons, perturbed in cases:
         rel_a = verify_relation_A(cons.pair.A, cons.theta_ops,

@@ -166,3 +166,19 @@ def test_pair_decompose_recovers_components():
         ok_ab, _ = is_normal(TensorPair(a_c, b_c).combined)
         ok_ba, _ = is_normal(TensorPair(a_c, b_c).reversed)
         assert ok_ab and ok_ba
+
+
+def test_canonical_form_when_psi_1_vanishes():
+    # AKLT: Tr A^i = 0, so psi_1 = 0 and the reassembly check must measure
+    # round-off against ||A||^N, not against the zero coefficients alone
+    sp = np.array([[0, 1], [0, 0]])
+    aklt = MpsTensor(np.array([np.sqrt(2 / 3) * sp, -np.sqrt(1 / 3) * np.diag([1, -1]),
+                               -np.sqrt(2 / 3) * sp.T], dtype=complex))
+    result = canonical_form(aklt)
+    assert result.blocking_factor == 1
+    assert [len(blk.copies) for blk in result.blocks] == [1]
+    assert np.abs(result.reassembled_coeffs(1)).max() <= 1e-15
+    for n in (2, 3, 4):
+        want = contract_mpv(aklt, n)
+        assert np.linalg.norm(result.reassembled_coeffs(n) - want) <= \
+            1e-10 * np.linalg.norm(want)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gauge_mps
 from gauge_mps import io
 from gauge_mps.canonical import canonical_form
 from gauge_mps.cli import main, report_render
@@ -276,27 +280,30 @@ def test_cli_rejects_flags_its_command_does_not_read(d10_bundle, capsys, command
 
 def test_cli_verdict_does_not_depend_on_tensor_scale(tmp_path):
     # the perturbed d10 pair fails bab; scaled by 1e-200 its psi_N used to
-    # underflow to 0 and pass, scaled by 1e100 its norm overflowed to NaN
+    # underflow to 0 and pass, scaled by 1e100 its norm overflowed to NaN;
+    # at N = 40 the transfer matrices of the rest would do the same
     cons = build_d10_example()
     rng = np.random.default_rng(7)
     a = cons.A.entries
     noisy = MpsTensor(a + 0.2 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)))
-    reports = {}
-    for scale in (1.0, 1e-200, 1e100):
-        doc = io.bundle_to_dict(cons)
-        doc["tensors"]["A"] = io.tensor_to_dict(noisy.scaled(scale))
-        bundle, out = tmp_path / "bundle.json", tmp_path / f"report{scale}.json"
-        io.save_json(doc, bundle)
-        assert main(["verify", "--setting", "bab", "--bundle", str(bundle),
-                     "--n-max", "3", "--json", "--out", str(out)]) == 1
-        reports[scale] = json.loads(out.read_text())
-    want = reports.pop(1.0)
-    for got in reports.values():
-        assert got["N_values"] == want["N_values"] == [1, 2, 3]
-        assert [(f["N"], f["element"], f["site"]) for f in got["failures"]] == \
-            [(f["N"], f["element"], f["site"]) for f in want["failures"]]
-        assert np.allclose([f["residual"] for f in got["failures"]],
-                           [f["residual"] for f in want["failures"]], rtol=1e-9)
+    for n_max in (3, 40):
+        reports = {}
+        for scale in (1.0, 1e-200, 1e100):
+            doc = io.bundle_to_dict(cons)
+            doc["tensors"]["A"] = io.tensor_to_dict(noisy.scaled(scale))
+            bundle, out = tmp_path / "bundle.json", tmp_path / f"report{scale}.json"
+            io.save_json(doc, bundle)
+            assert main(["verify", "--setting", "bab", "--bundle", str(bundle),
+                         "--n-max", str(n_max), "--json", "--out", str(out)]) == 1
+            reports[scale] = json.loads(out.read_text())
+        want = reports.pop(1.0)
+        assert {f["N"] for f in want["failures"]} == set(range(1, n_max + 1))
+        for got in reports.values():
+            assert got["N_values"] == want["N_values"] == list(range(1, n_max + 1))
+            assert [(f["N"], f["element"], f["site"]) for f in got["failures"]] == \
+                [(f["N"], f["element"], f["site"]) for f in want["failures"]]
+            assert np.allclose([f["residual"] for f in got["failures"]],
+                               [f["residual"] for f in want["failures"]], rtol=1e-9)
 
 
 def test_cli_skips_n_where_traceless_kraus_state_vanishes(tmp_path):
@@ -383,3 +390,66 @@ def test_cli_verify_has_no_samples_flag(su2_bundle, capsys):
         main(["verify", "--setting", "bab", "--bundle", su2_bundle, "--samples", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def d12_bundles(tmp_path_factory):
+    """The d12 gauging with X = rho1+rho2+rho1+rho2 (D = 8), clean and with
+    20% noise on A."""
+    from test_acceptance import random_global_symmetric
+    from gauge_mps.constructors import gauge_global_symmetry
+
+    group, irreps, a_t, theta_ops, x_mats = random_global_symmetric(
+        "d12", ["rho1", "rho2", "rho1", "rho2"], 0)
+    cons = gauge_global_symmetry(a_t, x_mats, group, irreps, theta_ops=theta_ops)
+    assert cons.A.left_dim == 8
+    a = cons.A.entries
+    noise = np.random.default_rng(1).normal(size=a.shape + (2,)) @ [1, 1j]
+    doc = io.bundle_to_dict(cons)
+    root = tmp_path_factory.mktemp("d12")
+    io.save_json(doc, root / "clean.json")
+    doc["tensors"]["A"] = io.tensor_to_dict(MpsTensor(a + 0.2 * np.abs(a).max() * noise))
+    io.save_json(doc, root / "perturbed.json")
+    return {name: str(root / f"{name}.json") for name in ("clean", "perturbed")}
+
+
+@pytest.mark.parametrize("state,code", [("clean", 0), ("perturbed", 1)])
+def test_cli_bab_certifies_d12_at_large_n(d12_bundles, tmp_path, state, code):
+    # the dense psi_3 of this chain already exceeds the size cap
+    out = tmp_path / "report.json"
+    assert main(["verify", "--setting", "bab", "--bundle", d12_bundles[state],
+                 "--n-max", "64", "--json", "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert report["N_values"] == list(range(1, 65))
+    if code:
+        assert {f["N"] for f in report["failures"]} == set(range(1, 65))
+    else:
+        assert report["max_residual"] <= 1e-12
+
+
+def test_cli_report_does_not_depend_on_blas_threads(d12_bundles):
+    src = os.path.dirname(os.path.dirname(gauge_mps.__file__))
+    reports = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads)
+        reports[threads] = [subprocess.run(
+            [sys.executable, "-m", "gauge_mps.cli", "verify", "--setting", "bab",
+             "--bundle", d12_bundles[state], "--n-max", "16", "--json"],
+            env=env, capture_output=True, timeout=120).stdout
+            for state in ("clean", "perturbed")]
+    assert all(reports["1"]) and reports["1"] == reports["2"]
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.0])
+def test_cli_canonical_form_of_spin_one_matter(tmp_path, spin):
+    # Tr A^i = 0 for the spin-1 matter tensor, so psi_1 vanishes and
+    # round-off of the reassembled psi_1 used to read as a mismatch
+    bundle, out = tmp_path / "su2.json", tmp_path / "cf.json"
+    io.save_json(io.bundle_to_dict(build_su2_example(r=spin, l=spin, j_set=(1.0,))),
+                 bundle)
+    assert main(["canonical-form", "--bundle", str(bundle), "--tensor", "A",
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["blocking_factor"] == 1
+    assert [len(blk["copies"]) for blk in result["blocks"]] == [1]

@@ -10,11 +10,13 @@ from gauge_mps.constructors import (
     gauge_global_symmetry,
     wigner_eckart_a_block,
 )
+from gauge_mps import symmetry
 from gauge_mps.errors import (
     BadAlgebra,
     ExtractionDegenerate,
     NotDecomposable,
     NotNormal,
+    NumericalDegeneracy,
     SymmetryError,
 )
 from gauge_mps.groups import direct_product
@@ -498,3 +500,82 @@ def test_window_check_rejects_generators_mixed_with_elements():
     elements = sampled_ops(cons.generators("l"), su2_samples(3, seed=0))
     with pytest.raises(SymmetryError, match="mixed"):
         check_local_symmetry_gauge(cons.pair.B, LieOps(cons.generators("r")), elements, 2)
+
+
+# ----------------------------------------------------------------------------
+# the transfer route against the dense state
+
+
+@pytest.fixture(scope="module")
+def criterion_9():
+    from test_acceptance import criterion_9_cases
+
+    return [cons for cons, _ in criterion_9_cases()]
+
+
+def _local_reports(cons, n_max, ops):
+    """setting -> report for every setting the transfer route serves, with
+    `ops` holding the lists theta, r and l."""
+    pair = cons.pair
+    reports = {
+        "matter-local": check_local_symmetry_matter(pair.A, ops["theta"], n_max),
+        "gauge-local": check_local_symmetry_gauge(pair.B, ops["r"], ops["l"], n_max),
+        "bab": check_local_symmetry_matter_gauge(pair, ops["r"], ops["theta"],
+                                                 ops["l"], n_max),
+    }
+    if hasattr(cons, "gauss"):
+        reports["gauss"] = check_gauss_law(pair, cons.gauss, n_max)
+    return reports
+
+
+@pytest.mark.parametrize("case", [f"criterion-9-{k}" for k in range(20)]
+                         + list(SU2_ORACLE_CASES))
+def test_transfer_route_matches_dense_state(case, criterion_9, monkeypatch):
+    names = ("theta", "r", "l")
+    if case in SU2_ORACLE_CASES:
+        cons = SU2_ORACLE_CASES[case]()
+        ops = {name: LieOps(cons.generators(name)) for name in names}
+    else:
+        cons = criterion_9[int(case.rsplit("-", 1)[1])]
+        ops = {name: getattr(cons, f"{name}_ops") for name in names}
+    pair = cons.pair
+    # N <= 4, or N <= 3 where psi_4 of the B-A-B chain is large
+    n_max = 4 if (pair.A.phys_dim * pair.B.phys_dim) ** 4 <= 2 ** 18 else 3
+
+    dense_n = []
+
+    def spy(cell, n):
+        dense_n.append(n)
+        return dense_state(cell, n)
+
+    dense_state = symmetry._dense_state
+    monkeypatch.setattr(symmetry, "_dense_state", spy)
+    fast = _local_reports(cons, n_max, ops)
+    assert set(dense_n) == {1}   # every N >= 2 took the transfer route
+    monkeypatch.setattr(symmetry, "_uses_dense_state", lambda n, axes, op_lists: True)
+    dense = _local_reports(cons, n_max, ops)
+    for setting, report in fast.items():
+        want = dense[setting]
+        assert report.n_values == want.n_values, setting
+        assert [r[:3] for r in report.records] == [r[:3] for r in want.records], setting
+        got = np.array([r[3] for r in report.records])
+        ref = np.array([r[3] for r in want.records])
+        large = ref > 1e-6
+        np.testing.assert_allclose(got[large], ref[large], rtol=1e-9, err_msg=setting)
+        assert np.all(got[~large] <= 1e-12) and np.all(ref[~large] <= 1e-12), setting
+
+
+def test_transfer_route_keeps_nan_and_rejects_negative_defects(d10):
+    theta_ops = list(d10.theta_ops)
+    theta_ops[1] = (theta_ops[1][0], np.full_like(theta_ops[1][1], np.nan))
+    report = check_local_symmetry_matter_gauge(d10.pair, d10.r_ops, theta_ops,
+                                               d10.l_ops, 3)
+    assert [r[1] for r in report.failures] == [theta_ops[1][0]] * (1 + 2 + 3)
+    assert np.isnan(report.max_residual)
+    # a defect norm below zero by more than round-off is an error, not a clamp
+    elements = [(label, (th, r, l)) for (label, th), (_, r), (_, l)
+                in zip(d10.theta_ops, d10.r_ops, d10.l_ops)]
+    windows = symmetry._TransferWindows((d10.A, d10.B), (0, -1, 1), elements, False)
+    windows.e_defects[3] = -windows.e_window
+    with pytest.raises(NumericalDegeneracy, match="negative defect norm at N=2"):
+        windows.residuals(2, "bab")
